@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction.
 
-.PHONY: install test lint lint-flow bench bench-smoke bench-parallel bench-compare bench-tables examples all
+.PHONY: install test lint lint-flow bench bench-smoke bench-parallel bench-ledger bench-compare bench-tables examples all
 
 install:
 	pip install -e .
@@ -37,6 +37,9 @@ bench-smoke:  ## quick executor sanity: parallel == serial, then q/s
 bench-parallel:  ## morsel-parallel scan smoke: rows identical, records speedup
 	REPRO_BENCH_OUT=out/bench \
 		pytest benchmarks/test_morsel_scan.py -s --benchmark-disable
+
+bench-ledger:  ## the tracked four-workload ledger at smoke size (< 30 s)
+	python3 bench/ledger.py --smoke
 
 bench-compare:  ## diff freshest BENCH_*.json vs the previous archived run
 	python benchmarks/bench_compare.py

@@ -45,10 +45,10 @@ def test_morsel_scan_matches_serial_and_speeds_up(base_net):
     workers = min(4, os.cpu_count() or 1)
 
     handle = provide_snapshot(
-        frozen, config=SnapshotConfig(provider="shared_memory")
+        frozen, config=SnapshotConfig(provider="mmap_file")
     )
     fields = {"workers": workers, "morsel_size": _MORSEL_SIZE,
-              "provider": "shared_memory"}
+              "provider": "mmap_file"}
     try:
         pool = WorkerPool(workers=workers, snapshot=handle)
         for number in sorted(MORSEL_PLANS):
@@ -81,65 +81,30 @@ def test_morsel_scan_matches_serial_and_speeds_up(base_net):
             # hosts; the speedup claim binds only with real cores.
             if (os.cpu_count() or 1) >= 4:
                 assert speedup > 1.0, f"bi{number}"
+        fields.update(_ship_fields(handle))
     finally:
         handle.close()
-    fields.update(_ship_fields(frozen))
     record("morsel_scan", **fields)
 
 
-def _ship_fields(frozen):
-    """What crosses the process boundary per worker: the self-contained
-    snapfile replaces the per-ship object-state pickle with a token of
-    buffer coordinates plus overlay; workers rebuild entity state from
-    the mapped entity section.  Measures the payload sizes of both
-    schemes and the cold-attach latency of each path, and binds the
-    >= 10x ship-payload shrink claim."""
+def _ship_fields(handle):
+    """What crosses the process boundary per worker — a token of file
+    path plus overlay; workers rebuild entity state from the mapped
+    entity section — and what a cold attach from it costs."""
     import pickle
 
-    from repro.graph import snapfile
-    from repro.graph.frozen import FrozenGraph
-
-    handle = provide_snapshot(
-        frozen, config=SnapshotConfig(provider="mmap_file")
+    wire = pickle.dumps(handle.ship())
+    entity_s = _median_seconds(
+        lambda: pickle.loads(wire).materialize().close()
     )
-    try:
-        wire = pickle.dumps(handle.ship())
-        ship_bytes = len(wire)
-        # What the pre-entity-section token shipped per worker: the
-        # pickled object-state remainder (plus negligible coordinates).
-        state_blob = pickle.dumps(snapfile.object_state(frozen))
-        pickle_bytes = len(state_blob)
-        assert pickle_bytes >= 10 * ship_bytes, (pickle_bytes, ship_bytes)
-
-        def entity_attach():
-            pickle.loads(wire).materialize().close()
-
-        def pickle_attach():
-            mapped = snapfile.open_snapshot(handle.path)
-            try:
-                FrozenGraph._attached(
-                    pickle.loads(state_blob), dict(mapped.columns)
-                )
-            finally:
-                mapped.close()
-
-        entity_s = _median_seconds(entity_attach)
-        pickle_s = _median_seconds(pickle_attach)
-        print(
-            f"\nship payload: {ship_bytes} B token vs {pickle_bytes} B"
-            f" object-state pickle ({pickle_bytes / ship_bytes:.0f}x);"
-            f" cold attach: entity {1000 * entity_s:.2f} ms,"
-            f" pickle {1000 * pickle_s:.2f} ms"
-        )
-        return {
-            "ship_payload_bytes": ship_bytes,
-            "object_state_pickle_bytes": pickle_bytes,
-            "payload_shrink": round(pickle_bytes / ship_bytes, 1),
-            "cold_attach_entity_ms": round(1000 * entity_s, 3),
-            "cold_attach_pickle_ms": round(1000 * pickle_s, 3),
-        }
-    finally:
-        handle.close()
+    print(
+        f"\nship payload: {len(wire)} B token;"
+        f" cold attach: {1000 * entity_s:.2f} ms"
+    )
+    return {
+        "ship_payload_bytes": len(wire),
+        "cold_attach_entity_ms": round(1000 * entity_s, 3),
+    }
 
 
 def test_mapped_power_test_matches_inline(base_net):

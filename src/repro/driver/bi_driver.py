@@ -173,7 +173,7 @@ def power_test(
     power test is a pure read phase, and results are identical either
     way, the frozen differential suite enforces it); ``provider`` how
     process workers obtain the snapshot (``inline`` fork/pickle, or the
-    zero-copy ``mmap_file``/``shared_memory`` mapped columns); and
+    zero-copy ``mmap_file`` mapped columns); and
     ``morsel_size`` opts heavy scans into morsel-driven parallelism:
     with process workers, each binding of a query with a registered
     :data:`~repro.queries.bi.morsels.MORSEL_PLANS` entry is split into

@@ -6,10 +6,12 @@ driver surfaces in its run metrics.
 """
 
 from repro.engine.operators import (
+    ScanPlan,
     expand,
     group_agg,
     group_count,
     morsel_ranges,
+    plan_messages,
     scan_forum_morsel,
     scan_message_morsel,
     scan_person_morsel,
@@ -33,12 +35,14 @@ from repro.engine.stats import (
 __all__ = [
     "COUNTER_NAMES",
     "OperatorCounters",
+    "ScanPlan",
     "counters",
     "expand",
     "group_agg",
     "group_count",
     "merge_counters",
     "morsel_ranges",
+    "plan_messages",
     "reset_counters",
     "scan_forum_morsel",
     "scan_message_morsel",

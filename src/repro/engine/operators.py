@@ -15,12 +15,15 @@ physical operators:
 * :func:`top_k` — the bounded-heap ORDER BY … LIMIT accumulator
   (CP-1.3 top-k pushdown), unifying :mod:`repro.util.topk`.
 
-Every operator tallies its work into :mod:`repro.engine.stats`, so a
-driver run can report rows scanned, the access path taken, and heap
-activity per query.  Access-path selection honours the store's
+Every scan is a *plan* and one executor: the ``plan_*`` functions are
+pure access-path selection — predicates and graph layout in, a
+:class:`ScanPlan` value out — and :meth:`ScanPlan.execute` is the only
+generator that filters, tallies :mod:`repro.engine.stats` and owns the
+scan's span, so a driver run can report rows scanned, the access path
+taken, and heap activity per query.  Selection honours the store's
 ``use_indexes`` / ``use_date_index`` / ``use_tag_index`` ablation flags:
-with an index disabled the same operator silently degrades to a
-filtered full scan, so ablation runs return identical rows.
+with an index disabled the same scan degrades to a filtered full scan,
+so ablation runs return identical rows.
 
 When tracing is enabled (:mod:`repro.obs`), every operator additionally
 opens a leaf ``operator`` span recording its access path and row count.
@@ -35,15 +38,15 @@ is a single ``enabled`` check.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from collections import Counter
 from heapq import merge as _heap_merge
-from itertools import compress, repeat
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, TypeVar, cast
+from itertools import compress, repeat, tee
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
+from typing import Mapping, NamedTuple, Sequence, TypeVar, cast
 
 from repro.engine.stats import counters
 from repro.obs.spans import Span, tracer
-from repro.graph.frozen import FrozenGraph
+from repro.graph.frozen import FrozenGraph, window_range
 from repro.graph.store import SocialGraph
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
@@ -54,6 +57,8 @@ from repro.util.dates import DateTime
 from repro.util.topk import TopK, sort_key
 
 __all__ = [
+    "ScanPlan",
+    "plan_messages",
     "morsel_ranges",
     "scan_message_morsel",
     "scan_forum_morsel",
@@ -76,22 +81,41 @@ K = TypeVar("K")
 S = TypeVar("S")
 
 #: (start, end) closed-open DateTime window; either bound may be None.
-Window = "tuple[DateTime | None, DateTime | None]"
+Window = tuple[DateTime | None, DateTime | None]
+
+#: A morsel: one contiguous ``[lo, hi)`` row range of a frozen scan
+#: slab — ``"post"``/``"comment"`` date slabs, ``"forum"``/``"person"``
+#: ordinals, one ``"tag"``'s postings — or the whole-scan fallback
+#: ``("*", 0, -1)`` when the graph has no clean frozen columns.  A
+#: range *is* its scan's window/tag/country predicate, so it must come
+#: from :func:`morsel_ranges` over an equivalent snapshot and the same
+#: predicates; the fallback plans the serial scan wholesale.
+Morsel = tuple[str, int, int]
+
+#: A residual predicate as data — ``test(row, arg)`` must hold — so
+#: building a plan allocates tuples, never a closure.
+Residual = tuple[Callable[[Any, Any], bool], Any]
 
 
-def _bounds(
-    window: tuple[DateTime | None, DateTime | None] | None,
-) -> tuple[DateTime | None, DateTime | None]:
-    if window is None:
-        return None, None
-    start, end = window
-    return start, end
-
-
-def _in_bounds(
-    ts: DateTime, start: DateTime | None, end: DateTime | None
-) -> bool:
+def _in_window(message: Message, bounds: Window) -> bool:
+    start, end = bounds
+    ts = message.creation_date
     return (start is None or ts >= start) and (end is None or ts < end)
+
+
+def _has_tag(message: Message, tag: int) -> bool:
+    return tag in message.tag_ids
+
+
+def _is_comment(message: Message, wanted: bool) -> bool:
+    return message.is_comment == wanted
+
+
+def _speaks(
+    message: Message, arg: tuple[Callable[[Message], str], frozenset[str]]
+) -> bool:
+    language_of, languages = arg
+    return language_of(message) in languages
 
 
 def _operator_span(name: str, **attrs: Any) -> Span | None:
@@ -110,10 +134,233 @@ def _close_operator_span(span: Span | None, rows: int) -> None:
         span.close()
 
 
+class ScanPlan(NamedTuple):
+    """One scan's access path, chosen but not yet run.
+
+    ``operator`` names the span, ``access`` labels the path, and
+    ``counter`` is the tally bumped once per scan: ``"index_scans"``,
+    ``"full_scans"``, or ``None`` on a non-lead morsel — only the first
+    morsel of a decomposed scan tallies it, so summed counters do not
+    depend on how many morsels the range was cut into.  The row source
+    is either ``chunks`` — pre-filtered list slices (cut one at a time,
+    as the executor reaches them), accounted by ``len`` and emitted
+    with ``yield from``, so the frozen column paths run no per-row
+    Python (frozen scans are consumed whole by every query) — or
+    ``rows``, a flat iterator counted row by row once the
+    ``residuals`` (the predicates no index absorbed) hold.  ``morsel``
+    labels a morsel scan's slab range on its span.
+    """
+
+    operator: str
+    access: str
+    counter: str | None
+    chunks: Iterable[Sequence[Any]] | None = None
+    rows: Iterable[Any] = ()
+    residuals: tuple[Residual, ...] = ()
+    morsel: str | None = None
+
+    def execute(self) -> Iterator[Any]:
+        """Run the scan — the one place that filters, counts
+        ``rows_scanned`` (rows produced after filtering, on every path)
+        and opens and closes a scan's operator span."""
+        stats = counters()
+        if self.counter == "index_scans":
+            stats.index_scans += 1
+        elif self.counter == "full_scans":
+            stats.full_scans += 1
+        span = _operator_span(self.operator, access=self.access)
+        if span is not None and self.morsel is not None:
+            span.attrs["morsel"] = self.morsel
+        produced = 0
+        try:
+            if self.chunks is not None:
+                for chunk in self.chunks:
+                    produced += len(chunk)
+                    yield from chunk
+                return
+            rows = self.rows
+            for test, arg in self.residuals:
+                # ``filter(lambda row: test(row, arg), rows)`` without
+                # the closure: the tee'd copy feeds the test, whose
+                # verdicts select from the original — C-level but for
+                # the test itself, and in lockstep, so nothing is
+                # buffered or read ahead.
+                probe, rows = tee(rows)
+                rows = compress(rows, map(test, probe, repeat(arg)))
+            for row in rows:
+                produced += 1
+                yield row
+        finally:
+            stats.rows_scanned += produced
+            _close_operator_span(span, produced)
+
+
+def _plan(
+    operator: str,
+    access: str,
+    indexed: bool,
+    rows: Iterable[Any] = (),
+    residuals: tuple[Residual, ...] = (),
+    chunks: Iterable[Sequence[Any]] | None = None,
+    morsel: Morsel | None = None,
+    lead: bool = True,
+) -> ScanPlan:
+    """A :class:`ScanPlan` with the two cross-cutting rules applied in
+    one place: an ablated index (``indexed`` false) degrades its
+    accessor to a filtered ``"full"`` scan, and a slab ``morsel`` is
+    labelled ``"frozen-morsel"`` with only the ``lead`` counting."""
+    counter = "index_scans" if indexed else "full_scans"
+    if morsel is None:
+        return ScanPlan(
+            operator, access if indexed else "full", counter, chunks, rows,
+            residuals,
+        )
+    kind, lo, hi = morsel
+    return ScanPlan(
+        operator, "frozen-morsel", counter if lead else None, chunks, rows,
+        residuals, f"{kind}[{lo}:{hi}]",
+    )
+
+
+def _clean_frozen(graph: SocialGraph) -> FrozenGraph | None:
+    """``graph`` if its columns are exact and range-addressable (a
+    frozen snapshot with no overlay), else ``None``."""
+    if isinstance(graph, FrozenGraph) and graph.delta_overlay is None:
+        return graph
+    return None
+
+
+def _slab_morsel(
+    frozen: FrozenGraph | None, morsel: Morsel | None
+) -> Morsel | None:
+    """``morsel`` if it slices a slab of the clean snapshot ``frozen``;
+    ``None`` when the serial plan applies — no morsel, or the
+    ``("*", 0, -1)`` whole-scan fallback."""
+    if morsel is None or morsel[2] < 0:
+        return None
+    if frozen is None:
+        raise TypeError("slab morsels require a clean frozen snapshot")
+    return morsel
+
+
+def _window_spans(
+    graph: FrozenGraph, kind: str | None, window: Window | None
+) -> list[Morsel]:
+    """Per message slab of ``kind``, the one ``[lo, hi)`` range its
+    date column bisects ``window`` to — the serial frozen scan's
+    chunks, and what :func:`morsel_ranges` cuts into morsels."""
+    start, end = window or (None, None)
+    return [
+        (slab_kind, *window_range(dates, start, end))
+        for slab_kind, _objs, dates, _codes in graph.message_slabs(kind)
+    ]
+
+
+def _message_chunk(
+    graph: FrozenGraph,
+    span: Morsel,
+    tag: int | None,
+    languages: frozenset[str] | None,
+) -> list[Message]:
+    """Rows ``[lo, hi)`` of one frozen message slab (``tag``'s postings
+    list for a ``"tag"`` span).  ``languages`` is pushed onto the
+    dictionary-encoded root-language code column: integer-set
+    membership via ``map`` + ``compress``, all C-level per slab slice,
+    instead of per-row root-post chasing."""
+    slab_kind, lo, hi = span
+    if tag is not None:
+        return graph._tag_objs.get(tag, [])[lo:hi]
+    ((_, objs, _dates, codes),) = graph.message_slabs(slab_kind)
+    if languages is None:
+        return objs[lo:hi]
+    wanted = graph.language_codes(languages)
+    return list(compress(objs[lo:hi], map(wanted.__contains__, codes[lo:hi])))
+
+
+def plan_messages(
+    graph: SocialGraph,
+    *,
+    window: Window | None = None,
+    tag: int | None = None,
+    creator: int | None = None,
+    kind: str | None = None,
+    language: "Iterable[str] | None" = None,
+    morsel: Morsel | None = None,
+    lead: bool = True,
+) -> ScanPlan:
+    """Choose :func:`scan_messages`' access path: creator adjacency,
+    tag postings (date-bisected), the date window (frozen date columns,
+    overlay merge, or live month buckets), full scan — in that order.
+    Predicates the chosen index does not absorb become residuals, so
+    every path returns the same rows.  ``morsel`` (with ``lead``) plans
+    one slab range of the frozen window or tag scan instead."""
+    start, end = window or (None, None)
+    languages = None if language is None else frozenset(language)
+    frozen = _clean_frozen(graph)
+    morsel = _slab_morsel(frozen, morsel)
+    rows: Iterable[Message] = ()
+    residuals: tuple[Residual, ...] = ()
+    chunks: Iterable[list[Message]] | None = None
+    if frozen is not None and morsel is not None:
+        chunks = [_message_chunk(frozen, morsel, tag, languages)]
+        access, indexed = "frozen-morsel", True
+    elif creator is not None:
+        if kind == "post":
+            rows = graph.posts_by(creator)
+        elif kind == "comment":
+            rows = graph.comments_by(creator)
+        else:
+            rows = graph.messages_by(creator)
+        if window is not None:
+            residuals = ((_in_window, window),)
+        if tag is not None:
+            residuals += ((_has_tag, tag),)
+        access, indexed = "creator-index", graph.use_indexes
+    elif tag is not None:
+        rows = graph.messages_with_tag_in_window(tag, start, end)
+        if kind is not None:
+            residuals = ((_is_comment, kind == "comment"),)
+        access, indexed = "tag-index", graph.use_indexes and graph.use_tag_index
+    elif start is None and end is None:
+        if kind == "post":
+            rows = graph.posts.values()
+        elif kind == "comment":
+            rows = graph.comments.values()
+        else:
+            rows = graph.messages()
+        access, indexed = "full", False
+    elif not isinstance(graph, FrozenGraph):
+        # Month buckets — or, date index ablated, the accessor's own
+        # window-filtered table scan.
+        rows = graph.messages_in_window(start, end, kind)
+        access = "date-index"
+        indexed = graph.use_indexes and graph.use_date_index
+    elif graph.delta_overlay is not None and graph.delta_overlay.messages_dirty(
+        kind
+    ):
+        rows = _merge_overlay_slabs(graph, graph.delta_overlay, kind, window)
+        access, indexed = "frozen-overlay-merge", True
+    else:
+        # Frozen fast path: bisect the int64 date columns and slice the
+        # ``(creationDate, id)``-sorted object lists — no month-bucket
+        # walk, no boundary re-checks; same counters as the live
+        # date-index path.
+        chunks = (
+            _message_chunk(graph, span, None, languages)
+            for span in _window_spans(graph, kind, window)
+        )
+        access, indexed = "frozen-date-column", True
+    if chunks is None and languages is not None:
+        residuals += ((_speaks, (graph.language_of_message, languages)),)
+    return _plan(
+        "scan_messages", access, indexed, rows, residuals, chunks, morsel, lead
+    )
+
+
 def scan_messages(
     graph: SocialGraph,
     *,
-    window: tuple[DateTime | None, DateTime | None] | None = None,
+    window: Window | None = None,
     tag: int | None = None,
     creator: int | None = None,
     kind: str | None = None,
@@ -126,210 +373,52 @@ def scan_messages(
     ``creator`` the creating Person's id; ``kind`` restricts to
     ``"post"`` or ``"comment"``; ``language`` keeps only Messages whose
     BI-18 language (a Comment's is its root Post's) is in the given
-    set.  Access-path order: creator adjacency, tag postings
-    (date-bisected), month buckets, full scan.  All remaining
-    predicates are applied as filters, so every path returns the same
-    rows; ``rows_scanned`` counts the rows produced after filtering on
-    every path.  On a frozen snapshot the language predicate runs over
-    the dictionary-encoded root-language code column (integer-set
-    membership in C via ``map`` + ``compress``) instead of per-row
-    root-post chasing.
+    set.  :func:`plan_messages` picks the access path; ``rows_scanned``
+    counts the rows produced after filtering on every path.
     """
-    start, end = _bounds(window)
-    languages = None if language is None else frozenset(language)
-    stats = counters()
-    if creator is not None:
-        if kind == "post":
-            source: Iterable[Message] = graph.posts_by(creator)
-        elif kind == "comment":
-            source = graph.comments_by(creator)
-        else:
-            source = graph.messages_by(creator)
-        if graph.use_indexes:
-            stats.index_scans += 1
-            access = "creator-index"
-        else:
-            stats.full_scans += 1
-            access = "full"
-        span = _operator_span("scan_messages", access=access)
-        produced = 0
-        try:
-            for message in source:
-                if not _in_bounds(message.creation_date, start, end):
-                    continue
-                if tag is not None and tag not in message.tag_ids:
-                    continue
-                if (
-                    languages is not None
-                    and graph.language_of_message(message) not in languages
-                ):
-                    continue
-                produced += 1
-                yield message
-        finally:
-            stats.rows_scanned += produced
-            _close_operator_span(span, produced)
-        return
-
-    if tag is not None:
-        if graph.use_indexes and graph.use_tag_index:
-            stats.index_scans += 1
-            access = "tag-index"
-        else:
-            stats.full_scans += 1
-            access = "full"
-        span = _operator_span("scan_messages", access=access)
-        produced = 0
-        try:
-            for message in graph.messages_with_tag_in_window(tag, start, end):
-                if kind == "post" and message.is_comment:
-                    continue
-                if kind == "comment" and not message.is_comment:
-                    continue
-                if (
-                    languages is not None
-                    and graph.language_of_message(message) not in languages
-                ):
-                    continue
-                produced += 1
-                yield message
-        finally:
-            stats.rows_scanned += produced
-            _close_operator_span(span, produced)
-        return
-
-    if (start is not None or end is not None) and isinstance(
-        graph, FrozenGraph
-    ):
-        overlay = graph.delta_overlay
-        if overlay is not None and overlay.messages_dirty(kind):
-            # Overlay merge path: per slab, bisect the base date column
-            # as usual, filter base rows through the tombstone set, and
-            # merge the date-windowed overlay inserts in
-            # ``(creationDate, id)`` order.  Same counters as the other
-            # window paths: one index scan, rows counted as produced.
-            stats.index_scans += 1
-            span = _operator_span(
-                "scan_messages", access="frozen-overlay-merge"
-            )
-            produced = 0
-            try:
-                for message in _merge_overlay_slabs(
-                    graph, overlay, kind, start, end
-                ):
-                    if (
-                        languages is not None
-                        and graph.language_of_message(message)
-                        not in languages
-                    ):
-                        continue
-                    produced += 1
-                    yield message
-            finally:
-                stats.rows_scanned += produced
-                _close_operator_span(span, produced)
-            return
-        # Frozen fast path: bisect the int64 date columns and yield the
-        # ``(creationDate, id)``-sorted object lists by contiguous slice
-        # — no month-bucket walk, no boundary re-checks.  Rows are
-        # accounted per slice (frozen scans are consumed whole by every
-        # query); the counter names and values match the live date-index
-        # path exactly.
-        stats.index_scans += 1
-        span = _operator_span("scan_messages", access="frozen-date-column")
-        produced = 0
-        try:
-            if languages is None:
-                for objs, dates in graph.date_slabs(kind):
-                    lo = 0 if start is None else bisect_left(dates, start)
-                    hi = len(dates) if end is None else bisect_left(dates, end)
-                    if lo < hi:
-                        produced += hi - lo
-                        yield from objs[lo:hi]
-            else:
-                # Language pushdown over the dictionary-encoded root-
-                # language code column: integer-set membership via
-                # ``map`` + ``compress``, all C-level per slab slice.
-                wanted = graph.language_codes(languages)
-                for objs, dates, codes in graph.language_slabs(kind):
-                    lo = 0 if start is None else bisect_left(dates, start)
-                    hi = len(dates) if end is None else bisect_left(dates, end)
-                    if lo >= hi or not wanted:
-                        continue
-                    selected = list(
-                        compress(
-                            objs[lo:hi],
-                            map(wanted.__contains__, codes[lo:hi]),
-                        )
-                    )
-                    produced += len(selected)
-                    yield from selected
-        finally:
-            stats.rows_scanned += produced
-            _close_operator_span(span, produced)
-        return
-
-    if (start is not None or end is not None) and (
-        graph.use_indexes and graph.use_date_index
-    ):
-        stats.index_scans += 1
-        span = _operator_span("scan_messages", access="date-index")
-        produced = 0
-        try:
-            for message in graph.messages_in_window(start, end, kind):
-                if (
-                    languages is not None
-                    and graph.language_of_message(message) not in languages
-                ):
-                    continue
-                produced += 1
-                yield message
-        finally:
-            stats.rows_scanned += produced
-            _close_operator_span(span, produced)
-        return
-
-    stats.full_scans += 1
-    span = _operator_span("scan_messages", access="full")
-    if kind == "post":
-        source = graph.posts.values()
-    elif kind == "comment":
-        source = graph.comments.values()
-    else:
-        source = graph.messages()
-    produced = 0
-    try:
-        for message in source:
-            if not _in_bounds(message.creation_date, start, end):
-                continue
-            if (
-                languages is not None
-                and graph.language_of_message(message) not in languages
-            ):
-                continue
-            produced += 1
-            yield message
-    finally:
-        stats.rows_scanned += produced
-        _close_operator_span(span, produced)
+    return plan_messages(
+        graph, window=window, tag=tag, creator=creator, kind=kind,
+        language=language,
+    ).execute()
 
 
-#: A morsel: one contiguous ``[lo, hi)`` row range of a frozen scan
-#: slab (``"post"``/``"comment"``), or the whole-scan fallback
-#: ``("*", 0, -1)`` when the graph has no clean frozen columns.
-Morsel = tuple[str, int, int]
+def scan_message_morsel(
+    graph: SocialGraph,
+    slab_kind: str,
+    lo: int,
+    hi: int,
+    *,
+    window: Window | None = None,
+    language: "Iterable[str] | None" = None,
+    lead: bool = True,
+) -> Iterator[Message]:
+    """One :data:`Morsel` of a frozen date-window scan: rows ``[lo,
+    hi)`` of ``slab_kind``'s ``(creationDate, id)``-sorted slab, with
+    the same language pushdown as :func:`scan_messages` (``window`` only
+    matters to the fallback — the range *is* the window predicate)."""
+    return plan_messages(
+        graph, window=window, language=language,
+        morsel=(slab_kind, lo, hi), lead=lead,
+    ).execute()
 
 
-#: Entity slab kinds ``morsel_ranges`` can chunk besides the message
-#: date slabs: forum ordinals, person ordinals (optionally restricted
-#: to one Country's residents), and one tag's postings list.
-ENTITY_SLAB_KINDS: frozenset[str] = frozenset({"forum", "person", "tag"})
+def scan_tag_morsel(
+    graph: SocialGraph, tag_id: int, lo: int, hi: int, *, lead: bool = True
+) -> Iterator[Message]:
+    """One :data:`Morsel` of a tag-postings scan: rows ``[lo, hi)`` of
+    Tag ``tag_id``'s ``(creationDate, id)``-sorted postings list — the
+    order serial ``scan_messages(tag=...)`` yields on a clean snapshot.
+    The lead tallies ``index_scans`` even on a degenerate empty range:
+    the serial scan counts the probe before finding zero rows."""
+    return plan_messages(
+        graph, tag=tag_id, morsel=("tag", lo, hi), lead=lead
+    ).execute()
 
 
 def morsel_ranges(
     graph: SocialGraph,
     *,
-    window: tuple[DateTime | None, DateTime | None] | None = None,
+    window: Window | None = None,
     kind: str | None = None,
     morsel_size: int = 65536,
     key: int | None = None,
@@ -358,206 +447,25 @@ def morsel_ranges(
     """
     if morsel_size < 1:
         raise ValueError("morsel_size must be >= 1")
-    if not isinstance(graph, FrozenGraph) or graph.delta_overlay is not None:
+    frozen = _clean_frozen(graph)
+    if frozen is None:
         return [("*", 0, -1)]
-    ranges: list[Morsel] = []
-    if kind in ENTITY_SLAB_KINDS:
-        if kind == "forum":
-            total = len(graph._forum_ids)
-        elif kind == "tag":
-            postings = () if key is None else graph._tag_objs.get(key, [])
-            total = len(postings)
-        elif key is None:
-            total = len(graph._person_ids)
-        else:
-            total = sum(1 for _ in graph.persons_in_country(key))
-        for base in range(0, total, morsel_size):
-            ranges.append((kind, base, min(base + morsel_size, total)))
-        return ranges or [(kind, 0, 0)]
-    start, end = _bounds(window)
-    kinds = ("post", "comment") if kind is None else (kind,)
-    for slab_kind in kinds:
-        ((_objs, dates),) = graph.date_slabs(slab_kind)
-        lo = 0 if start is None else bisect_left(dates, start)
-        hi = len(dates) if end is None else bisect_left(dates, end)
-        for base in range(lo, hi, morsel_size):
-            ranges.append((slab_kind, base, min(base + morsel_size, hi)))
-    if not ranges:
-        ranges.append((kinds[0], 0, 0))
-    return ranges
-
-
-def scan_message_morsel(
-    graph: SocialGraph,
-    slab_kind: str,
-    lo: int,
-    hi: int,
-    *,
-    window: tuple[DateTime | None, DateTime | None] | None = None,
-    language: "Iterable[str] | None" = None,
-    lead: bool = True,
-) -> Iterator[Message]:
-    """One morsel of a frozen date-window scan: rows ``[lo, hi)`` of
-    ``slab_kind``'s ``(creationDate, id)``-sorted slab, with the same
-    language pushdown as :func:`scan_messages`.
-
-    ``(slab_kind, lo, hi)`` must come from :func:`morsel_ranges` over
-    an equivalent snapshot and the same ``window`` — the range *is* the
-    window predicate, so no per-row date checks are repeated here.  The
-    ``("*", 0, -1)`` fallback morsel delegates to :func:`scan_messages`
-    wholesale.  ``lead`` marks the first morsel of a decomposed scan:
-    only the lead tallies the scan's ``index_scans`` counter, so the
-    summed counters of a morselized run stay independent of how many
-    morsels the range was cut into; every morsel counts its own
-    ``rows_scanned``.
-    """
-    if slab_kind == "*":
-        yield from scan_messages(graph, window=window, language=language)
-        return
-    if not isinstance(graph, FrozenGraph):
-        raise TypeError("slab morsels require a frozen snapshot")
-    languages = None if language is None else frozenset(language)
-    stats = counters()
-    if lead:
-        stats.index_scans += 1
-    span = _operator_span(
-        "scan_messages",
-        access="frozen-morsel",
-        morsel=f"{slab_kind}[{lo}:{hi}]",
-    )
-    produced = 0
-    try:
-        if languages is None:
-            ((objs, _dates),) = graph.date_slabs(slab_kind)
-            if lo < hi:
-                produced += hi - lo
-                yield from objs[lo:hi]
-        else:
-            wanted = graph.language_codes(languages)
-            ((objs, _dates, codes),) = graph.language_slabs(slab_kind)
-            if lo < hi and wanted:
-                selected = list(
-                    compress(
-                        objs[lo:hi],
-                        map(wanted.__contains__, codes[lo:hi]),
-                    )
-                )
-                produced += len(selected)
-                yield from selected
-    finally:
-        stats.rows_scanned += produced
-        _close_operator_span(span, produced)
-
-
-def scan_forum_morsel(
-    graph: SocialGraph, lo: int, hi: int, *, lead: bool = True
-) -> Iterator[Forum]:
-    """One morsel of the full-Forum scan: ordinals ``[lo, hi)`` of the
-    frozen forum-id column — the same order the serial
-    :func:`scan_forums` walks on a clean snapshot.  ``lead`` gates the
-    scan's once-per-scan ``full_scans`` tally; every morsel counts its
-    own rows.  The ``("*", 0, -1)`` fallback delegates wholesale."""
-    if lo == 0 and hi == -1:
-        yield from scan_forums(graph)
-        return
-    if not isinstance(graph, FrozenGraph):
-        raise TypeError("entity morsels require a frozen snapshot")
-    stats = counters()
-    if lead:
-        stats.full_scans += 1
-    span = _operator_span(
-        "scan_forums", access="frozen-morsel", morsel=f"forum[{lo}:{hi}]"
-    )
-    produced = 0
-    forums = graph.forums
-    try:
-        for forum_id in graph._forum_ids[lo:hi]:
-            produced += 1
-            yield forums[forum_id]
-    finally:
-        stats.rows_scanned += produced
-        _close_operator_span(span, produced)
-
-
-def scan_person_morsel(
-    graph: SocialGraph,
-    lo: int,
-    hi: int,
-    *,
-    country: int | None = None,
-    lead: bool = True,
-) -> Iterator[Person]:
-    """One morsel of a Person scan in canonical (sorted-id) order.
-
-    With ``country`` the slab is that Country's residents sorted by id
-    — the order :func:`scan_persons`' country pushdown scans — and the
-    lead tallies the pushdown's ``index_scans``; without, the frozen
-    person-id column and ``full_scans``.  The ``("*", 0, -1)`` fallback
-    delegates wholesale."""
-    if lo == 0 and hi == -1:
-        yield from scan_persons(graph, country=country)
-        return
-    if not isinstance(graph, FrozenGraph):
-        raise TypeError("entity morsels require a frozen snapshot")
-    stats = counters()
-    persons = graph.persons
-    slab: Iterable[int]
-    if country is None:
-        if lead:
-            stats.full_scans += 1
-        slab = graph._person_ids[lo:hi]
+    if kind == "forum":
+        spans = [("forum", 0, len(frozen._forum_ids))]
+    elif kind == "tag":
+        spans = [("tag", 0, len(frozen._tag_objs.get(cast(int, key), ())))]
+    elif kind == "person" and key is None:
+        spans = [("person", 0, len(frozen._person_ids))]
+    elif kind == "person":
+        spans = [("person", 0, len(frozen._country_persons.get(key, ())))]
     else:
-        if lead:
-            stats.index_scans += 1
-        slab = sorted(graph.persons_in_country(country))[lo:hi]
-    span = _operator_span(
-        "scan_persons", access="frozen-morsel", morsel=f"person[{lo}:{hi}]"
-    )
-    produced = 0
-    try:
-        for person_id in slab:
-            produced += 1
-            yield persons[person_id]
-    finally:
-        stats.rows_scanned += produced
-        _close_operator_span(span, produced)
-
-
-def scan_tag_morsel(
-    graph: SocialGraph,
-    tag_id: int,
-    lo: int,
-    hi: int,
-    *,
-    lead: bool = True,
-) -> Iterator[Message]:
-    """One morsel of a tag-postings scan: rows ``[lo, hi)`` of Tag
-    ``tag_id``'s ``(creationDate, id)``-sorted postings list — the
-    order serial ``scan_messages(tag=...)`` yields on a clean
-    snapshot.  ``lead`` gates the scan's ``index_scans`` tally (also on
-    a degenerate empty range — the serial scan counts the probe before
-    finding zero rows).  The ``("*", 0, -1)`` fallback delegates
-    wholesale."""
-    if lo == 0 and hi == -1:
-        yield from scan_messages(graph, tag=tag_id)
-        return
-    if not isinstance(graph, FrozenGraph):
-        raise TypeError("entity morsels require a frozen snapshot")
-    stats = counters()
-    if lead:
-        stats.index_scans += 1
-    span = _operator_span(
-        "scan_messages", access="frozen-morsel", morsel=f"tag[{lo}:{hi}]"
-    )
-    produced = 0
-    try:
-        if lo < hi:
-            chunk = graph._tag_objs.get(tag_id, [])[lo:hi]
-            produced += len(chunk)
-            yield from chunk
-    finally:
-        stats.rows_scanned += produced
-        _close_operator_span(span, produced)
+        spans = _window_spans(frozen, kind, window)
+    ranges = [
+        (slab_kind, base, min(base + morsel_size, hi))
+        for slab_kind, lo, hi in spans
+        for base in range(lo, hi, morsel_size)
+    ]
+    return ranges or [(spans[0][0], 0, 0)]
 
 
 def _message_sort_key(message: Message) -> tuple[DateTime, int]:
@@ -568,22 +476,18 @@ def _merge_overlay_slabs(
     graph: FrozenGraph,
     overlay: "DeltaOverlay",
     kind: str | None,
-    start: DateTime | None,
-    end: DateTime | None,
+    window: Window | None,
 ) -> Iterator[Message]:
     """The window rows of a delta-overlaid snapshot, per slab: the base
     column slice minus tombstoned ids, merged with the overlay's
     windowed inserts (both sides ``(creationDate, id)``-sorted)."""
-    kinds = ("post", "comment") if kind is None else (kind,)
-    for slab_kind in kinds:
-        ((objs, dates),) = graph.date_slabs(slab_kind)
-        lo = 0 if start is None else bisect_left(dates, start)
-        hi = len(dates) if end is None else bisect_left(dates, end)
-        base: Iterable[Message] = objs[lo:hi]
-        tombstones = overlay.message_tombstones(slab_kind)
+    start, end = window or (None, None)
+    for span in _window_spans(graph, kind, window):
+        base: Iterable[Message] = _message_chunk(graph, span, None, None)
+        tombstones = overlay.message_tombstones(span[0])
         if tombstones:
             base = (m for m in base if m.id not in tombstones)
-        delta = overlay.window_messages(slab_kind, start, end)
+        delta = overlay.window_messages(span[0], start, end)
         if delta:
             yield from _heap_merge(base, delta, key=_message_sort_key)
         else:
@@ -591,60 +495,60 @@ def _merge_overlay_slabs(
 
 
 def scan_forum_posts(
-    graph: SocialGraph,
-    forum_id: int,
-    *,
-    window: tuple[DateTime | None, DateTime | None] | None = None,
+    graph: SocialGraph, forum_id: int, *, window: Window | None = None
 ) -> Iterator[Post]:
-    """Scan one Forum's Posts, date window pushed into the forum index."""
-    start, end = _bounds(window)
-    stats = counters()
-    if graph.use_indexes and graph.use_date_index:
-        stats.index_scans += 1
-        access = "forum-date-index"
-        source: Iterable[Post] = graph.posts_in_forum_window(
-            forum_id, start, end
-        )
-    elif graph.use_indexes:
-        stats.index_scans += 1
-        access = "forum-index"
-        source = (
-            p
-            for p in graph.posts_in_forum(forum_id)
-            if _in_bounds(p.creation_date, start, end)
-        )
+    """Scan one Forum's Posts, date window pushed into the forum index
+    (the accessor bisects the forum→post date index or, with it
+    ablated, filters the Forum's post list itself)."""
+    start, end = window or (None, None)
+    dated = graph.use_indexes and graph.use_date_index
+    return _plan(
+        "scan_forum_posts",
+        "forum-date-index" if dated else "forum-index",
+        graph.use_indexes,
+        graph.posts_in_forum_window(forum_id, start, end),
+    ).execute()
+
+
+def _table_plan(
+    operator: str,
+    table: Mapping[int, Any],
+    ids: Sequence[int] | None,
+    morsel: Morsel | None,
+    lead: bool,
+    access: str = "full",
+    indexed: bool = False,
+) -> ScanPlan:
+    """Rows of ``table`` in ``ids`` order (its own order where there is
+    no id column), narrowed to ``morsel``'s ordinals of that column."""
+    if ids is None:
+        rows: Iterable[Any] = table.values()
+    elif morsel is None:
+        rows = map(table.__getitem__, ids)
     else:
-        stats.full_scans += 1
-        access = "full"
-        source = (
-            p
-            for p in graph.posts_in_forum(forum_id)
-            if _in_bounds(p.creation_date, start, end)
-        )
-    span = _operator_span("scan_forum_posts", access=access)
-    produced = 0
-    try:
-        for post in source:
-            produced += 1
-            yield post
-    finally:
-        stats.rows_scanned += produced
-        _close_operator_span(span, produced)
+        rows = map(table.__getitem__, ids[morsel[1] : morsel[2]])
+    return _plan(operator, access, indexed, rows, morsel=morsel, lead=lead)
 
 
-def _counted_scan(name: str, source: Iterable[T]) -> Iterator[T]:
-    """Full-table scan bookkeeping shared by the entity scan operators."""
-    stats = counters()
-    stats.full_scans += 1
-    span = _operator_span(name, access="full")
-    produced = 0
-    try:
-        for item in source:
-            produced += 1
-            yield item
-    finally:
-        stats.rows_scanned += produced
-        _close_operator_span(span, produced)
+def _plan_persons(
+    graph: SocialGraph, country: int | None, morsel: Morsel | None, lead: bool
+) -> ScanPlan:
+    """A clean snapshot scans its sorted-id columns — the person-ordinal
+    column, or a Country's residents — which ``morsel`` ranges slice."""
+    frozen = _clean_frozen(graph)
+    morsel = _slab_morsel(frozen, morsel)
+    if country is None:
+        column = None if frozen is None else frozen._person_ids
+        return _table_plan("scan_persons", graph.persons, column, morsel, lead)
+    residents: Sequence[int] = (
+        sorted(graph.persons_in_country(country))
+        if frozen is None
+        else frozen._country_persons.get(country, ())
+    )
+    return _table_plan(
+        "scan_persons", graph.persons, residents, morsel, lead,
+        "country-index", graph.use_indexes,
+    )
 
 
 def scan_persons(
@@ -663,53 +567,51 @@ def scan_persons(
     same reason.  Iteration order never changes rows — every BI/IC
     sort is a total order (lint R4).
     """
-    if country is not None:
-        return _scan_persons_in_country(graph, country)
-    if isinstance(graph, FrozenGraph) and graph.delta_overlay is None:
-        persons = graph.persons
-        return _counted_scan(
-            "scan_persons", (persons[pid] for pid in graph._person_ids)
-        )
-    return _counted_scan("scan_persons", graph.persons.values())
+    return _plan_persons(graph, country, None, True).execute()
 
 
-def _scan_persons_in_country(
-    graph: SocialGraph, country: int
+def scan_person_morsel(
+    graph: SocialGraph,
+    lo: int,
+    hi: int,
+    *,
+    country: int | None = None,
+    lead: bool = True,
 ) -> Iterator[Person]:
-    stats = counters()
-    if graph.use_indexes:
-        stats.index_scans += 1
-        access = "country-index"
-    else:
-        stats.full_scans += 1
-        access = "full"
-    span = _operator_span("scan_persons", access=access)
-    persons = graph.persons
-    produced = 0
-    try:
-        for person_id in sorted(graph.persons_in_country(country)):
-            produced += 1
-            yield persons[person_id]
-    finally:
-        stats.rows_scanned += produced
-        _close_operator_span(span, produced)
+    """One :data:`Morsel` of a Person scan in canonical (sorted-id)
+    order: ordinals ``[lo, hi)`` of ``country``'s residents (the lead
+    tallies the pushdown's ``index_scans``) or, without, of the frozen
+    person-id column (``full_scans``)."""
+    return _plan_persons(graph, country, ("person", lo, hi), lead).execute()
+
+
+def _plan_forums(
+    graph: SocialGraph, morsel: Morsel | None, lead: bool
+) -> ScanPlan:
+    frozen = _clean_frozen(graph)
+    ids = None if frozen is None else frozen._forum_ids
+    morsel = _slab_morsel(frozen, morsel)
+    return _table_plan("scan_forums", graph.forums, ids, morsel, lead)
 
 
 def scan_forums(graph: SocialGraph) -> Iterator[Forum]:
     """Scan every Forum, tallying the full-scan into the counters.  On
     a clean frozen snapshot the scan walks the forum-ordinal column —
     the canonical order :func:`scan_forum_morsel` slices."""
-    if isinstance(graph, FrozenGraph) and graph.delta_overlay is None:
-        forums = graph.forums
-        return _counted_scan(
-            "scan_forums", (forums[fid] for fid in graph._forum_ids)
-        )
-    return _counted_scan("scan_forums", graph.forums.values())
+    return _plan_forums(graph, None, True).execute()
+
+
+def scan_forum_morsel(
+    graph: SocialGraph, lo: int, hi: int, *, lead: bool = True
+) -> Iterator[Forum]:
+    """One :data:`Morsel` of the full-Forum scan: ordinals ``[lo, hi)``
+    of the frozen forum-id column; the lead tallies ``full_scans``."""
+    return _plan_forums(graph, ("forum", lo, hi), lead).execute()
 
 
 def scan_likes(graph: SocialGraph) -> Iterator[Likes]:
     """Scan every likes edge, tallying the full-scan into the counters."""
-    return _counted_scan("scan_likes", graph.likes_edges)
+    return _plan("scan_likes", "full", False, graph.likes_edges).execute()
 
 
 def expand(

@@ -4,7 +4,7 @@ The execution subsystem the BI throughput methodology calls for: a
 worker-pool scheduler (:class:`WorkerPool`) running registered task
 kinds (:mod:`repro.exec.tasks`) over an immutable shared snapshot
 handle (:mod:`repro.exec.snapshot` — inline/fork-inherited or a mapped
-snapshot file / shared-memory segment), with bounded dispatch, per-task
+snapshot file), with bounded dispatch, per-task
 deadlines, retry-once-then-record semantics, worker-crash recovery and
 deterministic result merging.  ``power_test`` / ``throughput_test`` /
 ``concurrent_read_test`` and the Interactive driver all execute through
@@ -23,7 +23,6 @@ from repro.exec.snapshot import (
     PROVIDERS,
     InlineSnapshot,
     MmapFileSnapshot,
-    SharedMemorySnapshot,
     ShippedSnapshot,
     SnapshotConfig,
     SnapshotHandle,
@@ -53,7 +52,6 @@ __all__ = [
     "STATUS_ERROR",
     "STATUS_OK",
     "STATUS_TIMEOUT",
-    "SharedMemorySnapshot",
     "ShippedSnapshot",
     "SnapshotConfig",
     "SnapshotHandle",

@@ -14,13 +14,11 @@ receives graph state through one typed surface:
   process boundary, ``bytes_mapped()`` and ``close()``.
 * Providers — :class:`InlineSnapshot` (the object graph itself;
   forked children inherit it copy-on-write, spawned children unpickle
-  it), :class:`MmapFileSnapshot` (columns serialized once into a
-  versioned snapshot file that every process maps read-only), and
-  :class:`SharedMemorySnapshot` (the same bytes in a
-  ``multiprocessing.shared_memory`` segment).  :func:`provide_snapshot`
-  picks one from a config.
+  it) and :class:`MmapFileSnapshot` (columns serialized once into a
+  versioned snapshot file that every process maps read-only).
+  :func:`provide_snapshot` picks one from a config.
 
-The mapped providers serialize a frozen graph completely into the
+The mapped provider serializes a frozen graph completely into the
 snapfile (format v2, :mod:`repro.graph.snapfile`): column families
 attach back as zero-copy ``memoryview`` casts over the shared buffer,
 and the file's entity section lets a worker rebuild the entity store
@@ -31,10 +29,10 @@ its current overlay (captured at ship time); the worker replays the
 overlay onto its rebuilt store, so post-freeze writes reach workers
 exactly as they would through fork.
 
-``materialize()`` on the worker side reattaches the buffer (path or
-segment name), rebuilds the entity store from the entity section,
-re-derives the frozen view around the mapped columns
-(``FrozenGraph._rebuilt``), and replays/re-wraps the overlay.
+``materialize()`` on the worker side maps the file again, rebuilds
+the entity store from the entity section, re-derives the frozen view
+around the mapped columns (``FrozenGraph._rebuilt``), and
+replays/re-wraps the overlay.
 :func:`activate` / :func:`active` install the process-local handle
 task runners read.  The ``repro_snapshot_state_bytes`` gauge records
 both sides of the split: the entity section's size (``section=
@@ -65,7 +63,6 @@ __all__ = [
     "AttachedSnapshot",
     "InlineSnapshot",
     "MmapFileSnapshot",
-    "SharedMemorySnapshot",
     "ShippedSnapshot",
     "SnapshotConfig",
     "SnapshotHandle",
@@ -80,7 +77,7 @@ ENV_COMPACT_FRACTION = "REPRO_DELTA_COMPACT_FRACTION"
 ENV_MORSEL_SIZE = "REPRO_MORSEL_SIZE"
 
 #: Recognized snapshot providers, in documentation order.
-PROVIDERS = ("inline", "mmap_file", "shared_memory")
+PROVIDERS = ("inline", "mmap_file")
 
 _FALSY = ("0", "false", "no", "off", "")
 
@@ -183,8 +180,8 @@ class SnapshotHandle(Protocol):
 class ShippedSnapshot:
     """The picklable form of a snapshot handle crossing a process
     boundary: provider-specific payload (the whole object graph for
-    inline; buffer coordinates plus the delta overlay for the mapped
-    providers — entity state rebuilds from the mapped bytes)."""
+    inline; the file path plus the delta overlay for ``mmap_file`` —
+    entity state rebuilds from the mapped bytes)."""
 
     provider: str
     payload: Any
@@ -253,53 +250,10 @@ def _publish_state_bytes(section: str, nbytes: int) -> None:
     )
 
 
-def _shipped_payload(
-    overlay: Any, context: dict[str, Any]
-) -> dict[str, Any]:
-    """The boundary-crossing remainder of a mapped handle, captured at
-    ship time: just the overlay and the task context.  Entity state
-    does not travel — the worker rebuilds it from the snapfile's entity
-    section and replays the overlay on top, so a dirty manager's
-    post-freeze writes reach workers exactly as they would through
-    fork."""
-    return {
-        "overlay": overlay,
-        "context": context,
-        "origin_pid": os.getpid(),
-    }
-
-
-def _ship_token(provider: str, payload: dict[str, Any]) -> ShippedSnapshot:
-    token = ShippedSnapshot(provider, payload)
-    _publish_state_bytes("stub", len(pickle.dumps(token)))
-    return token
-
-
-def _attach_graph(attached: Any, overlay: Any) -> Any:
-    """The worker-side graph for a mapped attach: rebuild the entity
-    store from the entity section, re-derive the frozen view around the
-    mapped columns, then replay the shipped overlay onto the store (the
-    frozen object columns must capture freeze-time state, so the replay
-    runs after ``_rebuilt``) and serve the merge view."""
-    from repro.graph import snapfile
-    from repro.graph.frozen import FrozenGraph
-
-    store = snapfile.rebuild_store(attached.entities)
-    graph = FrozenGraph._rebuilt(
-        store, dict(attached.columns), attached.frozen_at_version
-    )
-    if overlay is not None:
-        from repro.graph.delta import OverlaidGraph
-
-        overlay.replay_into(store)
-        return OverlaidGraph(graph, overlay)
-    return graph
-
-
 class AttachedSnapshot:
     """The worker-side handle a :class:`ShippedSnapshot` materializes
     into: a frozen view over mapped columns plus the shipped context.
-    It owns the mapping/segment for the worker's lifetime and cannot be
+    It owns the mapping for the worker's lifetime and cannot be
     re-shipped."""
 
     def __init__(
@@ -328,57 +282,38 @@ class AttachedSnapshot:
     def close(self) -> None:
         self.graph = None
         resource, self._resource = self._resource, None
-        if resource is None:
-            return
-        try:
+        if resource is not None:
             resource.close()
-        except BufferError:
-            # Exported column views still pin the mapping, so the
-            # pages stay alive through them either way.  Park the
-            # wrapper where the GC cannot reach its destructor:
-            # SharedMemory.__del__ retries close() and raises the
-            # same BufferError unraisably mid-run.
-            _pinned_resources.append(resource)
-
-
-#: Resources whose close() hit live view exports — held until process
-#: exit so their destructors never fire while views are outstanding.
-_pinned_resources: list[Any] = []
 
 
 def _materialize_mapped(provider: str, payload: dict[str, Any]) -> Any:
+    """The worker side of a mapped ship: map the file, rebuild the
+    entity store from its entity section, re-derive the frozen view
+    around the mapped columns, then replay the shipped overlay onto the
+    store (the frozen object columns must capture freeze-time state, so
+    the replay runs after ``_rebuilt``) and serve the merge view."""
     from repro.graph import snapfile
+    from repro.graph.frozen import FrozenGraph
 
-    if provider == "mmap_file":
-        mapped = snapfile.open_snapshot(payload["path"])
-        attached, nbytes = mapped.attached, mapped.bytes_mapped
-        resource: Any = mapped
-    elif provider == "shared_memory":
-        from multiprocessing import resource_tracker, shared_memory
-
-        segment = shared_memory.SharedMemory(
-            name=payload["shm_name"], create=False
-        )
-        # Attaching registers the segment with *this* process's
-        # resource tracker too (bpo-38119); in a worker, unregister or
-        # its exit would unlink the parent's segment from under
-        # everyone.  In-process materialization must keep the parent's
-        # own (single) registration.
-        if payload.get("origin_pid") != os.getpid():
-            try:
-                resource_tracker.unregister(segment._name, "shared_memory")
-            except Exception:  # pragma: no cover - tracker internals
-                pass
-        attached = snapfile.attach(segment.buf)
-        nbytes = attached.bytes_mapped
-        resource = segment
-    else:  # pragma: no cover - ShippedSnapshot guards the provider
+    if provider != "mmap_file":
         raise ValueError(f"unknown shipped provider {provider!r}")
-    graph = _attach_graph(attached, payload["overlay"])
-    _publish_attach(provider, nbytes)
+    mapped = snapfile.open_snapshot(payload["path"])
+    attached = mapped.attached
+    store = snapfile.rebuild_store(attached.entities)
+    graph = FrozenGraph._rebuilt(
+        store, dict(attached.columns), attached.frozen_at_version
+    )
+    overlay = payload["overlay"]
+    if overlay is not None:
+        overlay.replay_into(store)
+    _publish_attach(provider, mapped.bytes_mapped)
     _publish_state_bytes("entities", len(attached.entities))
     return AttachedSnapshot(
-        provider, graph, payload["context"], nbytes, resource
+        provider,
+        _overlay_view(graph, overlay),
+        payload["context"],
+        mapped.bytes_mapped,
+        mapped,
     )
 
 
@@ -387,15 +322,6 @@ def _unlink_quietly(path: str) -> None:
         os.unlink(path)
     except OSError:
         pass
-
-
-def _parent_attached(base: Any, columns: dict[str, Any]) -> Any:
-    """The parent-side attached view: object state by reference (no
-    pickle round-trip in-process), columns from the shared buffer."""
-    from repro.graph import snapfile
-    from repro.graph.frozen import FrozenGraph
-
-    return FrozenGraph._attached(snapfile.object_state(base), dict(columns))
 
 
 def _overlay_view(base: Any, overlay: Any) -> Any:
@@ -441,16 +367,25 @@ class MmapFileSnapshot:
         self._source = graph
         self.context: dict[str, Any] = {} if context is None else context
         self.graph = _overlay_view(
-            _parent_attached(base, self._mapped.columns), overlay
+            base.with_columns(self._mapped.columns), overlay
         )
         _publish_attach(self.provider, self._mapped.bytes_mapped)
         _publish_state_bytes("entities", len(self._mapped.attached.entities))
 
     def ship(self) -> ShippedSnapshot:
+        """The boundary-crossing remainder, captured at ship time: the
+        file path, the overlay and the task context.  Entity state does
+        not travel — the worker rebuilds it from the snapfile's entity
+        section and replays the overlay on top, so a dirty manager's
+        post-freeze writes reach workers exactly as they would through
+        fork."""
         _, overlay = _split_overlay(self._source)
-        payload = _shipped_payload(overlay, self.context)
-        payload["path"] = self.path
-        return _ship_token(self.provider, payload)
+        token = ShippedSnapshot(
+            self.provider,
+            {"path": self.path, "overlay": overlay, "context": self.context},
+        )
+        _publish_state_bytes("stub", len(pickle.dumps(token)))
+        return token
 
     def bytes_mapped(self) -> int:
         return self._mapped.bytes_mapped
@@ -461,66 +396,6 @@ class MmapFileSnapshot:
         self._finalizer()
 
 
-def _release_segment(segment: Any) -> None:
-    try:
-        segment.close()
-    except BufferError:  # views still exported — see AttachedSnapshot
-        _pinned_resources.append(segment)
-    try:
-        segment.unlink()
-    except (FileNotFoundError, OSError):  # pragma: no cover
-        pass
-
-
-class SharedMemorySnapshot:
-    """The same bytes as :class:`MmapFileSnapshot` in an anonymous
-    ``multiprocessing.shared_memory`` segment — no filesystem path, one
-    copy into the segment at construction, attach-by-name from
-    workers."""
-
-    provider = "shared_memory"
-
-    def __init__(
-        self, graph: Any, context: dict[str, Any] | None = None
-    ):
-        from multiprocessing import shared_memory
-
-        from repro.graph import snapfile
-
-        base, overlay = _split_overlay(graph)
-        data = snapfile.snapshot_bytes(base, overlay=overlay)
-        self._segment = shared_memory.SharedMemory(
-            create=True, size=max(len(data), 1)
-        )
-        self._segment.buf[: len(data)] = data
-        self._attached = snapfile.attach(self._segment.buf)
-        self._finalizer = weakref.finalize(
-            self, _release_segment, self._segment
-        )
-        self._base = base
-        self._source = graph
-        self.context: dict[str, Any] = {} if context is None else context
-        self.graph = _overlay_view(
-            _parent_attached(base, self._attached.columns), overlay
-        )
-        _publish_attach(self.provider, self._attached.bytes_mapped)
-        _publish_state_bytes("entities", len(self._attached.entities))
-
-    def ship(self) -> ShippedSnapshot:
-        _, overlay = _split_overlay(self._source)
-        payload = _shipped_payload(overlay, self.context)
-        payload["shm_name"] = self._segment.name
-        return _ship_token(self.provider, payload)
-
-    def bytes_mapped(self) -> int:
-        return self._attached.bytes_mapped
-
-    def close(self) -> None:
-        self.graph = None
-        self._attached.columns.clear()
-        self._finalizer()
-
-
 def provide_snapshot(
     graph: "SocialGraph | None" = None,
     context: dict[str, Any] | None = None,
@@ -528,7 +403,7 @@ def provide_snapshot(
 ) -> SnapshotHandle:
     """Build the configured provider's handle around ``graph``.
 
-    Mapped providers require a frozen view (clean or overlaid); a live
+    ``mmap_file`` requires a frozen view (clean or overlaid); a live
     graph — or no graph — falls back to :class:`InlineSnapshot` and
     bumps ``repro_snapshot_fallback_total`` so the degradation is
     visible instead of silent.
@@ -541,9 +416,7 @@ def provide_snapshot(
             "repro_snapshot_fallback_total", reason="live-graph"
         ).inc()
         return InlineSnapshot(graph, context)
-    if resolved.provider == "mmap_file":
-        return MmapFileSnapshot(graph, context, directory=resolved.directory)
-    return SharedMemorySnapshot(graph, context)
+    return MmapFileSnapshot(graph, context, directory=resolved.directory)
 
 
 #: The handle visible to task runners in this process.  In the parent

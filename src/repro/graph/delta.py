@@ -351,11 +351,6 @@ class OverlaidGraph(FrozenGraph):
             return SocialGraph.thread_messages(self, post)
         return FrozenGraph.thread_messages(self, post)
 
-    def persons_in_country(self, country_id: int) -> Iterator[int]:
-        if self.delta_overlay.dirty("persons"):
-            return SocialGraph.persons_in_country(self, country_id)
-        return FrozenGraph.persons_in_country(self, country_id)
-
     def country_of_person(self, person_id: int) -> int:
         ordinal = self._person_ord.get(person_id)
         if ordinal is not None and not self.delta_overlay.person_gone(

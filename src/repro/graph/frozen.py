@@ -56,6 +56,7 @@ representation-agnostic; the engine picks the columnar fast paths off
 
 from __future__ import annotations
 
+import copy
 import sys
 from array import array
 from bisect import bisect_left
@@ -74,7 +75,20 @@ __all__ = [
     "FreezeManager",
     "StringColumn",
     "freeze",
+    "window_range",
 ]
+
+
+def window_range(
+    dates: "array | memoryview",
+    start: DateTime | None,
+    end: DateTime | None,
+) -> tuple[int, int]:
+    """The ``[lo, hi)`` row range of a sorted date column that falls in
+    the closed-open ``[start, end)`` window (either bound ``None``)."""
+    lo = 0 if start is None else bisect_left(dates, start)
+    hi = len(dates) if end is None else bisect_left(dates, end)
+    return lo, hi
 
 
 def _array_bytes(values: "array | memoryview") -> int:
@@ -124,7 +138,7 @@ class FrozenGraph(SocialGraph):
     contract); everything below is built at freeze time.  The hot-path
     accessors the engine and the queries hit per row —
     ``messages_with_tag_in_window``, ``posts_in_forum_window``,
-    ``root_post_of``, ``thread_messages``, ``persons_in_country`` — are
+    ``root_post_of``, ``thread_messages``, ``country_of_person`` — are
     overridden to serve from the columns; everything else inherits the
     live implementations over the shared indexes.
     """
@@ -181,36 +195,10 @@ class FrozenGraph(SocialGraph):
     def __init__(self, source: SocialGraph):
         if isinstance(source, FrozenGraph):
             raise TypeError("cannot freeze a FrozenGraph; freeze the live store")
-        # Adopt the live tables and indexes by reference — freezing must
-        # not copy the object graph (that is what it exists to avoid).
-        self.__dict__.update(source.__dict__)
-        # A snapshot always has its columns; the ablation flags describe
-        # the live store's secondary indexes, which the shared index
-        # structures maintain regardless of the flags.
-        self.use_indexes = True
-        self.use_date_index = True
-        self.use_tag_index = True
-        #: The source's write_version at freeze time; FreezeManager
-        #: rebuilds when the live store has moved past it.
-        self.frozen_at_version = source.write_version
+        self._adopt(source, source.write_version)
+        self._derive_message_lists()
         self._build_columns()
-
-    @classmethod
-    def _attached(
-        cls,
-        state: "dict[str, object]",
-        columns: "dict[str, object]",
-    ) -> "FrozenGraph":
-        """Rebuild a snapshot from a ship payload: ``state`` is the
-        picklable remainder (:func:`repro.graph.snapfile.object_state`)
-        and ``columns`` the zero-copy families attached from a mapped
-        buffer.  No column construction happens — the instance adopts
-        both dicts by reference, exactly as ``__init__`` adopts the
-        live store's."""
-        graph = cls.__new__(cls)
-        graph.__dict__.update(state)
-        graph.__dict__.update(columns)
-        return graph
+        self._derive_lookups()
 
     @classmethod
     def _rebuilt(
@@ -224,59 +212,93 @@ class FrozenGraph(SocialGraph):
         column families — the self-contained snapfile path, where no
         object-state pickle crosses the ship boundary.
 
-        The mapped columns are adopted as-is; only the object-side
-        derivatives (entity-ordered lists, ordinal maps, postings
-        lists) are re-derived from the store's tables.  They come out
-        identical to the parent's because the mapped orders are
-        canonical: ``_person_ids``/``_forum_ids`` are sorted ids and
-        message slabs are ``(creation_date, id)``-sorted, none of which
-        depend on original insertion order.  Must run *before* any
-        overlay replay mutates ``store`` — these lists capture
-        freeze-time state."""
+        The mapped columns are adopted as-is in place of
+        ``_build_columns``; the object side is derived by the same two
+        methods ``__init__`` runs.  It comes out identical to the
+        parent's because the mapped orders are canonical:
+        ``_person_ids``/``_forum_ids`` are sorted ids and message slabs
+        are ``(creation_date, id)``-sorted, none of which depend on
+        original insertion order.  Must run *before* any overlay replay
+        mutates ``store`` — the derived lists capture freeze-time
+        state."""
         graph = cls.__new__(cls)
-        graph.__dict__.update(store.__dict__)
-        graph.use_indexes = True
-        graph.use_date_index = True
-        graph.use_tag_index = True
-        graph.frozen_at_version = frozen_at_version
+        graph._adopt(store, frozen_at_version)
         graph.__dict__.update(columns)
-        by_date = lambda m: (m.creation_date, m.id)  # noqa: E731
-        post_objs = sorted(store.posts.values(), key=by_date)
-        comment_objs = sorted(store.comments.values(), key=by_date)
-        graph._post_objs = post_objs
-        graph._comment_objs = comment_objs
-        msg_objs: list[Message] = [*post_objs, *comment_objs]
-        graph._msg_objs = msg_objs
-        graph._msg_ord = {m.id: i for i, m in enumerate(msg_objs)}
-        graph._person_ord = {
-            pid: i for i, pid in enumerate(graph._person_ids)
-        }
-        graph._forum_ord = {
-            fid: i for i, fid in enumerate(graph._forum_ids)
-        }
-        posts = store.posts
-        graph._forum_post_objs = {
-            fid: [posts[mid] for _, mid in dated]
-            for fid, dated in store._forum_posts_by_date.items()
-            if dated
-        }
-        message = store.message
-        graph._tag_objs = {
-            tag_id: [message(mid) for _, mid in postings]
-            for tag_id, postings in store._messages_with_tag.items()
-            if postings
-        }
-        graph._lang_code_of = {
-            value: code
-            for code, value in enumerate(graph._post_language.dictionary)
-        }
-        country_persons: dict[int, list[int]] = {}
-        for country_id in set(graph._person_country):
-            country_persons[country_id] = list(
-                SocialGraph.persons_in_country(graph, country_id)
-            )
-        graph._country_persons = country_persons
+        graph._derive_message_lists()
+        graph._derive_lookups()
         return graph
+
+    def with_columns(self, columns: "dict[str, object]") -> "FrozenGraph":
+        """The same snapshot over these column buffers: a shallow copy
+        that shares every table and object-side list by reference and
+        swaps in ``columns`` (the zero-copy families attached from a
+        mapped snapfile of this very snapshot) — the parent-side view a
+        mapped provider serves, so serial runs read the exact layout
+        workers see."""
+        view = copy.copy(self)
+        view.__dict__.update(columns)
+        return view
+
+    def _adopt(self, source: SocialGraph, frozen_at_version: int) -> None:
+        # Adopt the live tables and indexes by reference — freezing must
+        # not copy the object graph (that is what it exists to avoid).
+        self.__dict__.update(source.__dict__)
+        # A snapshot always has its columns; the ablation flags describe
+        # the live store's secondary indexes, which the shared index
+        # structures maintain regardless of the flags.
+        self.use_indexes = True
+        self.use_date_index = True
+        self.use_tag_index = True
+        #: The source's write_version at freeze time; FreezeManager
+        #: rebuilds when the live store has moved past it.
+        self.frozen_at_version = frozen_at_version
+
+    # ------------------------------------------------------------------
+    # Object-side derivation (shared by freeze and worker-side rebuild)
+    # ------------------------------------------------------------------
+
+    def _derive_message_lists(self) -> None:
+        """The ``(creationDate, id)``-sorted entity lists the message
+        columns run parallel to, from the entity tables alone."""
+        by_date = lambda m: (m.creation_date, m.id)  # noqa: E731
+        post_objs = sorted(self.posts.values(), key=by_date)
+        comment_objs = sorted(self.comments.values(), key=by_date)
+        self._post_objs = post_objs
+        self._comment_objs = comment_objs
+        msg_objs: list[Message] = [*post_objs, *comment_objs]
+        self._msg_objs = msg_objs
+        self._msg_ord = {m.id: i for i, m in enumerate(msg_objs)}
+
+    def _derive_lookups(self) -> None:
+        """Ordinal maps, per-key entity lists and the language
+        dictionary index, from the (built or mapped) columns plus the
+        shared index structures."""
+        self._person_ord = {pid: i for i, pid in enumerate(self._person_ids)}
+        self._forum_ord = {fid: i for i, fid in enumerate(self._forum_ids)}
+        posts = self.posts
+        self._forum_post_objs = {
+            fid: [posts[mid] for _, mid in self._forum_posts_by_date[fid]]
+            for fid in self._forum_post_date_cols
+        }
+        message = self.message
+        self._tag_objs = {
+            tag_id: [message(mid) for _, mid in self._messages_with_tag[tag_id]]
+            for tag_id in self._tag_dates
+        }
+        self._lang_code_of = {
+            value: code
+            for code, value in enumerate(self._post_language.dictionary)
+        }
+        # Residents in sorted-id order: the canonical order the engine's
+        # country scan yields and its person morsels slice
+        # (``persons_in_country`` keeps the live city-by-city order,
+        # which BI 2's tie-breaks observe).
+        self._country_persons = {
+            country_id: sorted(
+                SocialGraph.persons_in_country(self, country_id)
+            )
+            for country_id in set(self._person_country)
+        }
 
     # ------------------------------------------------------------------
     # Column construction
@@ -292,7 +314,6 @@ class FrozenGraph(SocialGraph):
 
     def _build_person_columns(self) -> None:
         person_ids = array("q", sorted(self.persons))
-        person_ord = {pid: i for i, pid in enumerate(person_ids)}
         offsets = array("q", [0])
         targets = array("q")
         dates = array("q")
@@ -307,7 +328,6 @@ class FrozenGraph(SocialGraph):
             offsets.append(len(targets))
             country.append(places[persons[pid].city_id].part_of)
         self._person_ids = person_ids
-        self._person_ord = person_ord
         self._knows_offsets = offsets
         self._knows_targets = targets
         self._knows_dates = dates
@@ -315,26 +335,14 @@ class FrozenGraph(SocialGraph):
         ordered = [persons[pid] for pid in person_ids]
         self._person_gender = StringColumn(p.gender for p in ordered)
         self._person_browser = StringColumn(p.browser_used for p in ordered)
-        country_persons: dict[int, list[int]] = {}
-        for country_id in {c for c in country}:
-            country_persons[country_id] = list(
-                SocialGraph.persons_in_country(self, country_id)
-            )
-        self._country_persons = country_persons
 
     def _build_message_columns(self) -> None:
-        by_date = lambda m: (m.creation_date, m.id)  # noqa: E731
-        post_objs = sorted(self.posts.values(), key=by_date)
-        comment_objs = sorted(self.comments.values(), key=by_date)
-        self._post_objs = post_objs
-        self._comment_objs = comment_objs
+        post_objs = self._post_objs
+        comment_objs = self._comment_objs
         self._post_dates = array("q", (p.creation_date for p in post_objs))
         self._comment_dates = array(
             "q", (c.creation_date for c in comment_objs)
         )
-        msg_objs: list[Message] = [*post_objs, *comment_objs]
-        self._msg_objs = msg_objs
-        self._msg_ord = {m.id: i for i, m in enumerate(msg_objs)}
         self._post_language = StringColumn(p.language for p in post_objs)
         self._post_browser = StringColumn(p.browser_used for p in post_objs)
         self._comment_browser = StringColumn(
@@ -389,10 +397,6 @@ class FrozenGraph(SocialGraph):
                 for ordinal in range(posts, len(msg_objs))
             ),
         )
-        self._lang_code_of = {
-            value: code
-            for code, value in enumerate(self._post_language.dictionary)
-        }
         # Thread closure CSR: post ordinal -> [post, *comment ordinals].
         members: list[list[int]] = [[p] for p in range(posts)]
         for ordinal in range(posts, len(msg_objs)):
@@ -422,16 +426,13 @@ class FrozenGraph(SocialGraph):
     def _build_forum_columns(self) -> None:
         forum_ids = array("q", sorted(self.forums))
         self._forum_ids = forum_ids
-        self._forum_ord = {fid: i for i, fid in enumerate(forum_ids)}
         member_offsets = array("q", [0])
         member_person = array("q")
         member_dates = array("q")
         post_offsets = array("q", [0])
         post_targets = array("q")
-        forum_post_objs: dict[int, list[Post]] = {}
         forum_post_dates: dict[int, array] = {}
         msg_ord = self._msg_ord
-        posts = self.posts
         for fid in forum_ids:
             for membership in self._members_of_forum.get(fid, ()):
                 member_person.append(membership.person_id)
@@ -439,7 +440,6 @@ class FrozenGraph(SocialGraph):
             member_offsets.append(len(member_person))
             dated = self._forum_posts_by_date.get(fid, ())
             if dated:
-                forum_post_objs[fid] = [posts[mid] for _, mid in dated]
                 forum_post_dates[fid] = array("q", (d for d, _ in dated))
                 post_targets.extend(msg_ord[mid] for _, mid in dated)
             post_offsets.append(len(post_targets))
@@ -448,52 +448,34 @@ class FrozenGraph(SocialGraph):
         self._member_dates = member_dates
         self._forum_post_offsets = post_offsets
         self._forum_post_targets = post_targets
-        self._forum_post_objs = forum_post_objs
         self._forum_post_date_cols = forum_post_dates
 
     def _build_tag_columns(self) -> None:
-        tag_objs: dict[int, list[Message]] = {}
-        tag_dates: dict[int, array] = {}
-        message = self.message
-        for tag_id, postings in self._messages_with_tag.items():
-            if not postings:
-                continue
-            tag_objs[tag_id] = [message(mid) for _, mid in postings]
-            tag_dates[tag_id] = array("q", (d for d, _ in postings))
-        self._tag_objs = tag_objs
-        self._tag_dates = tag_dates
+        self._tag_dates = {
+            tag_id: array("q", (d for d, _ in postings))
+            for tag_id, postings in self._messages_with_tag.items()
+            if postings
+        }
 
     # ------------------------------------------------------------------
     # Columnar accessor overrides (identical rows, slice-backed)
     # ------------------------------------------------------------------
 
-    def date_slabs(
+    def message_slabs(
         self, kind: str | None
-    ) -> "tuple[tuple[list[Message], array], ...]":
-        """The ``(creationDate, id)``-sorted message lists with their
-        parallel date columns, restricted to ``kind`` — the engine's
-        frozen window-scan slabs."""
-        if kind == "post":
-            return ((self._post_objs, self._post_dates),)
-        if kind == "comment":
-            return ((self._comment_objs, self._comment_dates),)
-        return (
-            (self._post_objs, self._post_dates),
-            (self._comment_objs, self._comment_dates),
-        )
-
-    def language_slabs(
-        self, kind: str | None
-    ) -> "tuple[tuple[list[Message], array, array], ...]":
-        """:meth:`date_slabs` plus the parallel root-language code
-        column per slab — the engine's language-pushdown fast path.
-        Codes index the post language dictionary (a Comment's language
-        is its root Post's, per BI 18)."""
+    ) -> "tuple[tuple[str, list[Message], array, array], ...]":
+        """The engine's frozen scan slabs, restricted to ``kind``: per
+        slab its name, the ``(creationDate, id)``-sorted message list,
+        and the parallel date and root-language code columns.  Codes
+        index the post language dictionary (a Comment's language is its
+        root Post's, per BI 18)."""
         post_slab = (
-            self._post_objs, self._post_dates, self._post_language.codes
+            "post", self._post_objs, self._post_dates,
+            self._post_language.codes,
         )
         comment_slab = (
-            self._comment_objs, self._comment_dates, self._comment_root_lang
+            "comment", self._comment_objs, self._comment_dates,
+            self._comment_root_lang,
         )
         if kind == "post":
             return (post_slab,)
@@ -516,9 +498,7 @@ class FrozenGraph(SocialGraph):
         objs = self._tag_objs.get(tag_id)
         if objs is None:
             return
-        dates = self._tag_dates[tag_id]
-        lo = 0 if start is None else bisect_left(dates, start)
-        hi = len(dates) if end is None else bisect_left(dates, end)
+        lo, hi = window_range(self._tag_dates[tag_id], start, end)
         yield from objs[lo:hi]
 
     def posts_in_forum_window(
@@ -530,9 +510,9 @@ class FrozenGraph(SocialGraph):
         objs = self._forum_post_objs.get(forum_id)
         if objs is None:
             return
-        dates = self._forum_post_date_cols[forum_id]
-        lo = 0 if start is None else bisect_left(dates, start)
-        hi = len(dates) if end is None else bisect_left(dates, end)
+        lo, hi = window_range(
+            self._forum_post_date_cols[forum_id], start, end
+        )
         yield from objs[lo:hi]
 
     def root_post_of(self, message: Message) -> Post:
@@ -554,9 +534,6 @@ class FrozenGraph(SocialGraph):
         objs = self._msg_objs
         for member in self._thread_members[lo:hi]:
             yield objs[member]
-
-    def persons_in_country(self, country_id: int) -> Iterator[int]:
-        yield from self._country_persons.get(country_id, ())
 
     def country_of_person(self, person_id: int) -> int:
         return self._person_country[self._person_ord[person_id]]

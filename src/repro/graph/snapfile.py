@@ -3,12 +3,11 @@
 The frozen columnar layout (:mod:`repro.graph.frozen`) is a set of flat
 ``array('q')``/``array('i')`` slabs plus dictionary-encoded string
 columns — exactly the shapes that serialize to raw bytes and attach
-back as zero-copy ``memoryview`` casts over an ``mmap`` or a
-``multiprocessing.shared_memory`` buffer.  This module defines that
-byte layout (format v2) and the write/attach halves:
+back as zero-copy ``memoryview`` casts over an ``mmap``.  This module
+defines that byte layout (format v2) and the write/attach halves:
 
-* :func:`write_snapshot` / :func:`snapshot_bytes` — serialize every
-  column family of a frozen graph into one self-describing blob;
+* :func:`write_snapshot` — serialize every column family of a frozen
+  graph into one self-describing blob;
 * :func:`attach` — validate the header and hand back per-attribute
   zero-copy columns over any readable buffer;
 * :func:`open_snapshot` — ``mmap`` a snapshot file read-only and
@@ -45,9 +44,8 @@ and ``FrozenGraph._rebuilt`` re-derives the object-side columns
 (``_post_objs``, ordinal maps, postings lists) from the rebuilt store
 plus the mapped columns — so a ``spawn`` worker cold-starts from the
 mapped bytes alone, with no object-state pickle crossing the ship
-boundary.  :func:`object_state` remains for the in-process parent
-attach (which shares the live tables by reference) and as the
-differential baseline the tests compare the rebuild against.
+boundary.  (The in-process parent attach needs neither: it is
+``FrozenGraph.with_columns`` over the snapshot that was written.)
 """
 
 from __future__ import annotations
@@ -81,15 +79,12 @@ __all__ = [
     "MAGIC",
     "VERSION",
     "ENTITY_SECTION",
-    "MAPPED_ATTRS",
     "SnapshotFormatError",
     "AttachedColumns",
     "MappedSnapshot",
     "attach",
-    "object_state",
     "open_snapshot",
     "rebuild_store",
-    "snapshot_bytes",
     "write_snapshot",
 ]
 
@@ -140,36 +135,8 @@ STRING_COLUMNS: tuple[str, ...] = (
 #: parallel sections: sorted keys, CSR offsets, concatenated values.
 KEYED_COLUMNS: tuple[str, ...] = ("_tag_dates", "_forum_post_date_cols")
 
-#: Every ``FrozenGraph`` attribute the snapshot file carries — the
-#: complement of what :func:`object_state` pickles.
-MAPPED_ATTRS: frozenset[str] = frozenset(
-    FLAT_COLUMNS + STRING_COLUMNS + KEYED_COLUMNS
-)
-
-#: Instance attributes that must never cross a ship boundary: the
-#: overlay travels explicitly beside the file, and ``base_snapshot``
-#: would drag a second copy of the column arrays into the pickle.
-_EXCLUDED_STATE: frozenset[str] = frozenset(
-    {"delta_overlay", "base_snapshot"}
-)
-
-
 class SnapshotFormatError(ValueError):
     """A snapshot buffer failed header or layout validation."""
-
-
-def object_state(graph: FrozenGraph) -> dict[str, Any]:
-    """The picklable remainder of a frozen graph: its ``__dict__``
-    minus the mapped column families, with the live store's write-hook
-    list replaced by a fresh empty one (hooks reference the parent's
-    overlay recorder and must not fire — or travel — in a worker)."""
-    state = {
-        key: value
-        for key, value in graph.__dict__.items()
-        if key not in MAPPED_ATTRS and key not in _EXCLUDED_STATE
-    }
-    state["_delta_hooks"] = []
-    return state
 
 
 # ---------------------------------------------------------------------------
@@ -414,16 +381,6 @@ def write_snapshot(
     return sum(section["nbytes"] for section in sections)
 
 
-def snapshot_bytes(graph: FrozenGraph, *, overlay: Any = None) -> bytes:
-    """The snapshot serialized into one in-memory blob (the
-    shared-memory provider copies this into its segment)."""
-    import io
-
-    buffer = io.BytesIO()
-    write_snapshot(graph, buffer, overlay=overlay)
-    return buffer.getvalue()
-
-
 # ---------------------------------------------------------------------------
 # Attaching
 # ---------------------------------------------------------------------------
@@ -432,8 +389,9 @@ def snapshot_bytes(graph: FrozenGraph, *, overlay: Any = None) -> bytes:
 @dataclass
 class AttachedColumns:
     """Zero-copy column families decoded from a snapshot buffer:
-    ``columns`` maps every attribute in :data:`MAPPED_ATTRS` to its
-    memoryview-backed value, ready for ``FrozenGraph._attached``;
+    ``columns`` maps every flat, string and keyed column attribute to
+    its memoryview-backed value, ready for ``FrozenGraph._rebuilt`` /
+    ``with_columns``;
     ``entities`` is the raw (unparsed) ``__entities__`` section for
     :func:`rebuild_store` — parsing is deferred because the in-process
     parent attach never needs it."""
@@ -511,8 +469,8 @@ def _section_views(
 
 
 def attach(buffer: Any) -> AttachedColumns:
-    """Decode a snapshot buffer (bytes, ``mmap``, or shared-memory
-    ``.buf``) into zero-copy column families.
+    """Decode a snapshot buffer (bytes or ``mmap``) into zero-copy
+    column families.
 
     Raises :class:`SnapshotFormatError` on bad magic, an unsupported
     version, an endianness mismatch, or a truncated/corrupt layout.

@@ -22,7 +22,7 @@ the *same* object (``rows = self.likes_edges; rows.remove(x);
 self.likes_edges = rows``) is allowed, and construction contexts are
 exempt — methods reachable only from ``__init__`` (freeze-time column
 builders) and alternate constructors that build a fresh instance via
-``cls.__new__(cls)`` (the snapshot attach/rebuild paths), since the
+``cls.__new__(cls)`` (the worker-side snapshot rebuild), since the
 instance they populate has no other view aliasing it yet.
 """
 
@@ -170,8 +170,8 @@ def _ctor_container_attrs(cls: ast.ClassDef) -> set[str]:
 
 def _alternate_constructors(cls: ast.ClassDef) -> set[str]:
     """Methods that build a fresh instance via ``cls.__new__(cls)`` —
-    alternate constructors such as the snapshot attach/rebuild
-    classmethods.  Like ``__init__`` they assign columns on an instance
+    alternate constructors such as the worker-side snapshot rebuild
+    classmethod.  Like ``__init__`` they assign columns on an instance
     no other view aliases yet, so rebind checks do not apply."""
     names: set[str] = set()
     for name, func in class_methods(cls).items():

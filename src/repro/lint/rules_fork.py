@@ -16,8 +16,8 @@ only corrupt results under real parallelism:
   not hide it.
 * ``live-store-capture`` — a pool submission capturing a live
   ``SocialGraph`` or ``FreezeManager`` (a snapshot-provider constructor
-  — ``provide_snapshot``/``InlineSnapshot``/``MmapFileSnapshot``/
-  ``SharedMemorySnapshot`` — over a live handle,
+  — ``provide_snapshot``/``InlineSnapshot``/``MmapFileSnapshot`` —
+  over a live handle,
   ``WorkerPool(snapshot=…)``, a live store in a ``Task`` payload).  Live stores carry position maps, write hooks and delta
   overlays that must not cross the process boundary; workers get
   ``provide_snapshot(freeze(graph))`` or ``manager.frozen()``

@@ -167,7 +167,6 @@ SNAPSHOT_PROVIDER_CONSTRUCTORS: frozenset[str] = frozenset(
     {
         "InlineSnapshot",
         "MmapFileSnapshot",
-        "SharedMemorySnapshot",
         "provide_snapshot",
     }
 )

@@ -11,13 +11,22 @@ from repro.engine import (
     expand,
     group_agg,
     group_count,
+    plan_messages,
     reset_counters,
+    scan_forum_morsel,
     scan_forum_posts,
+    scan_forums,
+    scan_message_morsel,
     scan_messages,
+    scan_person_morsel,
+    scan_persons,
+    scan_tag_morsel,
     top_k,
 )
 from repro.engine.stats import COUNTER_NAMES, counters
 from repro.graph.store import SocialGraph
+from repro.params.curation import ParameterGenerator
+from repro.queries.bi.morsels import MORSEL_PLANS
 from repro.util.dates import make_datetime
 
 
@@ -25,102 +34,214 @@ def _ids(messages):
     return sorted(m.id for m in messages)
 
 
-@pytest.fixture
-def window(tiny_graph):
-    return make_datetime(2010, 6, 1), make_datetime(2012, 6, 1)
+WINDOW = (make_datetime(2010, 6, 1), make_datetime(2012, 6, 1))
+
+#: Graph layouts, in the column order of ``ACCESS`` below.
+LAYOUTS = ("live", "no-indexes", "no-date-index", "no-tag-index",
+           "frozen", "overlaid")
+
+#: Predicate set -> the access label expected per layout.  Every label
+#: but ``"full"`` tallies ``index_scans``; ``"full"`` tallies
+#: ``full_scans``.
+_BY_WINDOW = ("date-index", "full", "full", "date-index",
+              "frozen-date-column", "frozen-overlay-merge")
+_BY_TAG = ("tag-index", "full", "tag-index", "full", "tag-index",
+           "tag-index")
+_BY_CREATOR = ("creator-index", "full") + ("creator-index",) * 4
+_FULL = ("full",) * 6
+ACCESS = {
+    "none": _FULL,
+    "window": _BY_WINDOW,
+    "open-start": _BY_WINDOW,
+    "open-end": _BY_WINDOW,
+    "window+post": _BY_WINDOW,
+    "tag": _BY_TAG,
+    "tag+window": _BY_TAG,
+    "tag+window+comment": _BY_TAG,
+    "creator": _BY_CREATOR,
+    "creator+window+post": _BY_CREATOR,
+    "creator+window+comment": _BY_CREATOR,
+    "creator+language": _BY_CREATOR,
+    "post": _FULL,
+    "language": _FULL,
+}
 
 
-class TestScanMessages:
-    """Every access path must return exactly the reference rows."""
+@pytest.fixture(scope="module")
+def layouts(tiny_net, tiny_graph):
+    from repro.datagen.update_streams import build_update_streams
+    from repro.graph.frozen import FreezeManager, freeze
+    from repro.queries.interactive.updates import ALL_UPDATES
 
-    def _reference(self, graph, start=None, end=None, tag=None, creator=None,
-                   kind=None):
+    base = SocialGraph.from_data(tiny_net, until=tiny_net.cutoff)
+    manager = FreezeManager(base)
+    manager.frozen()
+    for op in build_update_streams(tiny_net)[:40]:
+        try:
+            ALL_UPDATES[op.operation_id][0](base, op.params)
+        except (KeyError, ValueError):
+            pass
+    overlaid = manager.frozen()
+    assert overlaid.delta_overlay.messages_dirty("post")
+    assert overlaid.delta_overlay.messages_dirty("comment")
+    yield dict(zip(LAYOUTS, (
+        tiny_graph,
+        SocialGraph.from_data(tiny_net, use_indexes=False),
+        SocialGraph.from_data(tiny_net, use_date_index=False),
+        SocialGraph.from_data(tiny_net, use_tag_index=False),
+        freeze(tiny_graph),
+        overlaid,
+    )))
+    manager.detach()
+
+
+def _predicates(graph, name):
+    """The keyword arguments of one ``ACCESS`` row, bound to values the
+    graph actually has."""
+    start, end = WINDOW
+    inside = [
+        m for m in graph.messages() if start <= m.creation_date < end
+    ]
+    # A Person with a Post and a Comment in the window, and the tag of
+    # a windowed Comment, keep every combined cell non-vacuous.
+    creator = next(
+        p.creator_id for p in inside
+        if not p.is_comment and any(
+            c.is_comment and c.creator_id == p.creator_id for c in inside
+        )
+    )
+    post = next(
+        p for p in graph.posts.values() if p.creator_id == creator
+    )
+    tagged = next(m for m in inside if m.is_comment and m.tag_ids)
+    parts = {
+        "none": {},
+        "window": {"window": WINDOW},
+        "open-start": {"window": (None, end)},
+        "open-end": {"window": (start, None)},
+        "tag": {"tag": next(iter(tagged.tag_ids))},
+        "creator": {"creator": creator},
+        "post": {"kind": "post"},
+        "comment": {"kind": "comment"},
+        "language": {"language": [post.language]},
+    }
+    kwargs = {}
+    for part in name.split("+"):
+        kwargs.update(parts[part])
+    return kwargs
+
+
+def _naive(graph, window=None, tag=None, creator=None, kind=None,
+           language=None):
+    start, end = window or (None, None)
+    return _ids(
+        m for m in graph.messages()
+        if (start is None or m.creation_date >= start)
+        and (end is None or m.creation_date < end)
+        and (tag is None or tag in m.tag_ids)
+        and (creator is None or m.creator_id == creator)
+        and (kind is None or m.is_comment == (kind == "comment"))
+        and (language is None
+             or graph.language_of_message(m) in language)
+    )
+
+
+class TestAccessPathMatrix:
+    """Layout x predicates -> the plan (inspected before it runs), then
+    the rows and the scan tally once drained."""
+
+    @pytest.mark.parametrize("predicates", sorted(ACCESS))
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_plan_then_rows(self, layouts, layout, predicates):
+        graph = layouts[layout]
+        kwargs = _predicates(graph, predicates)
+        access = ACCESS[predicates][LAYOUTS.index(layout)]
+        reset_counters()
+        plan = plan_messages(graph, **kwargs)
+        assert plan.operator == "scan_messages"
+        assert plan.access == access
+        assert plan.counter == (
+            "full_scans" if access == "full" else "index_scans"
+        )
+        assert (plan.chunks is not None) == (access == "frozen-date-column")
+        assert counters().as_dict(skip_zero=True) == {}  # nothing ran yet
+        rows = list(plan.execute())
+        snap = reset_counters()
+        assert rows, "vacuous cell: the fixture has no matching message"
+        assert _ids(rows) == _naive(graph, **kwargs)
+        assert snap.as_dict(skip_zero=True) == {
+            plan.counter: 1, "rows_scanned": len(rows),
+        }
+
+    def test_scan_is_the_plan_executed(self, layouts):
+        for graph in layouts.values():
+            assert [m.id for m in scan_messages(graph, window=WINDOW)] == [
+                m.id for m in plan_messages(graph, window=WINDOW).execute()
+            ]
+        reset_counters()
+
+    def test_abandoned_scan_still_flushes_rows(self, tiny_graph):
+        reset_counters()
+        scan = scan_messages(tiny_graph)
+        next(scan)
+        scan.close()  # early LIMIT-style termination
+        assert counters().rows_scanned == 1
+        reset_counters()
+
+
+class TestMorselPlansConcatenate:
+    """Every ``MORSEL_PLANS`` decomposition, at the scan level: the
+    morsels in submission order yield the serial scan's rows, and only
+    the lead ticks the scan counter."""
+
+    @pytest.mark.parametrize("number", sorted(MORSEL_PLANS))
+    def test_morsels_concatenate_to_serial(self, layouts, tiny_graph,
+                                           tiny_config, number):
+        frozen = layouts["frozen"]
+        plan = MORSEL_PLANS[number]
+        binding = tuple(
+            ParameterGenerator(tiny_graph, tiny_config).bi(number, count=1)[0]
+        )
+        window = None if plan.window is None else plan.window(binding)
+        key = None if plan.key is None else plan.key(frozen, binding)
+        if plan.kind == "forum":
+            serial = scan_forums(frozen)
+            morsel = lambda lo, hi, lead: scan_forum_morsel(  # noqa: E731
+                frozen, lo, hi, lead=lead)
+        elif plan.kind == "person":
+            serial = scan_persons(frozen, country=key)
+            morsel = lambda lo, hi, lead: scan_person_morsel(  # noqa: E731
+                frozen, lo, hi, country=key, lead=lead)
+        elif plan.kind == "tag":
+            serial = scan_messages(frozen, tag=key)
+            morsel = lambda lo, hi, lead: scan_tag_morsel(  # noqa: E731
+                frozen, key, lo, hi, lead=lead)
+        else:
+            serial = scan_messages(frozen, window=window, kind=plan.kind)
+        reset_counters()
+        expected = [row.id for row in serial]
+        serial_tally = reset_counters().as_dict(skip_zero=True)
+        ranges = plan.ranges(frozen, binding, 1)  # one row per morsel
+        assert len(ranges) > 1 or not expected
         rows = []
-        for m in graph.messages():
-            if start is not None and m.creation_date < start:
-                continue
-            if end is not None and m.creation_date >= end:
-                continue
-            if tag is not None and tag not in m.tag_ids:
-                continue
-            if creator is not None and m.creator_id != creator:
-                continue
-            if kind == "post" and m.is_comment:
-                continue
-            if kind == "comment" and not m.is_comment:
-                continue
-            rows.append(m)
-        return _ids(rows)
-
-    def test_unfiltered_scan_is_all_messages(self, tiny_graph):
-        assert _ids(scan_messages(tiny_graph)) == self._reference(tiny_graph)
-
-    def test_window_path(self, tiny_graph, window):
-        start, end = window
-        assert _ids(
-            scan_messages(tiny_graph, window=window)
-        ) == self._reference(tiny_graph, start, end)
-
-    def test_open_ended_windows(self, tiny_graph, window):
-        start, end = window
-        assert _ids(
-            scan_messages(tiny_graph, window=(start, None))
-        ) == self._reference(tiny_graph, start=start)
-        assert _ids(
-            scan_messages(tiny_graph, window=(None, end))
-        ) == self._reference(tiny_graph, end=end)
-
-    def test_tag_path(self, tiny_graph, window):
-        start, end = window
-        tags = sorted(
-            {t for m in tiny_graph.messages() for t in m.tag_ids}
-        )[:5]
-        assert tags, "fixture has no tagged messages"
-        for tag in tags:
-            assert _ids(
-                scan_messages(tiny_graph, tag=tag, window=window)
-            ) == self._reference(tiny_graph, start, end, tag=tag)
-
-    def test_creator_path(self, tiny_graph, window):
-        start, end = window
-        creator = next(iter(tiny_graph.posts.values())).creator_id
-        for kind in (None, "post", "comment"):
-            assert _ids(
-                scan_messages(
-                    tiny_graph, creator=creator, window=window, kind=kind
-                )
-            ) == self._reference(
-                tiny_graph, start, end, creator=creator, kind=kind
-            )
-
-    def test_kind_filter_on_window_path(self, tiny_graph, window):
-        start, end = window
-        assert _ids(
-            scan_messages(tiny_graph, window=window, kind="post")
-        ) == self._reference(tiny_graph, start, end, kind="post")
-
-    def test_ablated_graph_returns_same_rows(self, tiny_net, window):
-        start, end = window
-        plain = SocialGraph.from_data(tiny_net)
-        for flags in (
-            {"use_indexes": False},
-            {"use_date_index": False},
-            {"use_tag_index": False},
-        ):
-            ablated = SocialGraph.from_data(tiny_net, **flags)
-            tag = next(
-                t for m in plain.messages() for t in m.tag_ids
-            )
-            assert _ids(scan_messages(ablated, window=window)) == _ids(
-                scan_messages(plain, window=window)
-            )
-            assert _ids(scan_messages(ablated, tag=tag)) == _ids(
-                scan_messages(plain, tag=tag)
-            )
+        for index, (slab_kind, lo, hi) in enumerate(ranges):
+            if plan.kind in ("forum", "person", "tag"):
+                rows.extend(morsel(lo, hi, index == 0))
+            else:
+                rows.extend(scan_message_morsel(
+                    frozen, slab_kind, lo, hi, window=window,
+                    lead=index == 0))
+        assert [row.id for row in rows] == expected
+        assert reset_counters().as_dict(skip_zero=True) == serial_tally
+        assert sum(
+            serial_tally.get(name, 0)
+            for name in ("index_scans", "full_scans")
+        ) == 1
 
 
 class TestScanForumPosts:
-    def test_matches_forum_contents(self, tiny_graph, window):
+    def test_matches_forum_contents(self, tiny_graph):
+        window = WINDOW
         forum = next(
             f for f in tiny_graph.forums.values()
             if tiny_graph.posts_in_forum(f.id)
@@ -171,37 +292,6 @@ class TestIndexMaintenance:
 
 
 class TestCounters:
-    def test_scan_counts_rows_and_path(self, tiny_graph):
-        reset_counters()
-        rows = list(scan_messages(tiny_graph))
-        snap = reset_counters()
-        assert snap.full_scans == 1 and snap.index_scans == 0
-        assert snap.rows_scanned == len(rows)
-
-    def test_window_scan_uses_index_path(self, tiny_graph, window):
-        reset_counters()
-        rows = list(scan_messages(tiny_graph, window=window))
-        snap = reset_counters()
-        assert snap.index_scans == 1 and snap.full_scans == 0
-        assert snap.rows_scanned == len(rows)
-
-    def test_ablated_scan_counts_full_scan(self, tiny_net, window):
-        graph = SocialGraph.from_data(tiny_net, use_indexes=False)
-        reset_counters()
-        list(scan_messages(graph, window=window))
-        tag = next(t for m in graph.messages() for t in m.tag_ids)
-        list(scan_messages(graph, tag=tag))
-        snap = reset_counters()
-        assert snap.full_scans == 2 and snap.index_scans == 0
-
-    def test_abandoned_scan_still_flushes_rows(self, tiny_graph):
-        reset_counters()
-        scan = scan_messages(tiny_graph)
-        next(scan)
-        scan.close()  # early LIMIT-style termination
-        assert counters().rows_scanned == 1
-        reset_counters()
-
     def test_expand_counts_edges(self, tiny_graph):
         persons = sorted(tiny_graph.persons)[:10]
         reset_counters()

@@ -74,7 +74,7 @@ class TestColumnIntegrity:
             assert list(dates[lo:hi]) == list(row.values())
 
     def test_message_columns_sorted_by_date_then_id(self, frozen_tiny):
-        for objs, dates in frozen_tiny.date_slabs(None):
+        for _kind, objs, dates, _codes in frozen_tiny.message_slabs(None):
             keyed = [(m.creation_date, m.id) for m in objs]
             assert keyed == sorted(keyed)
             assert list(dates) == [k for k, _ in keyed]

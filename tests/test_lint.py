@@ -522,7 +522,7 @@ class TestR6SnapshotAliasing:
 
     def test_alternate_constructor_exempt(self):
         # A classmethod building a fresh instance via cls.__new__(cls)
-        # (the snapshot attach/rebuild paths) populates an instance no
+        # (the worker-side snapshot rebuild) populates an instance no
         # other view aliases yet — same standing as __init__.
         src = (
             "class FrozenGraph:\n"

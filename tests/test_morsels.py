@@ -117,25 +117,6 @@ class TestScanMessageMorsel:
         ids = _collect(frozen, ranges, language=[language])
         assert sorted(ids) == sorted(expected)
 
-    def test_counters_sum_to_serial(self, frozen):
-        dates = sorted(m.creation_date for m in scan_messages(frozen))
-        window = (dates[len(dates) // 3], None)
-        reset_counters()
-        list(scan_messages(frozen, window=window))
-        serial = (counters().index_scans, counters().rows_scanned)
-        reset_counters()
-        for index, (kind, lo, hi) in enumerate(
-            morsel_ranges(frozen, window=window, morsel_size=13)
-        ):
-            list(
-                scan_message_morsel(
-                    frozen, kind, lo, hi, lead=index == 0
-                )
-            )
-        morselized = (counters().index_scans, counters().rows_scanned)
-        reset_counters()
-        assert morselized == serial
-
 
 class TestMorselPlans:
     @pytest.mark.parametrize("number", sorted(MORSEL_PLANS))
@@ -205,7 +186,7 @@ class TestPoolDispatch:
         from repro.driver.bi_driver import run_morselized
 
         handle = provide_snapshot(
-            frozen, config=SnapshotConfig(provider="shared_memory")
+            frozen, config=SnapshotConfig(provider="mmap_file")
         )
         try:
             pool = WorkerPool(workers=2, snapshot=handle)

@@ -23,11 +23,15 @@ from repro.graph.snapfile import (
     STRING_COLUMNS,
     SnapshotFormatError,
     attach,
-    object_state,
     open_snapshot,
-    snapshot_bytes,
     write_snapshot,
 )
+
+
+def snapshot_bytes(graph: FrozenGraph) -> bytes:
+    stream = io.BytesIO()
+    write_snapshot(graph, stream)
+    return stream.getvalue()
 
 
 @pytest.fixture(scope="module")
@@ -75,9 +79,7 @@ class TestRoundTrip:
         assert snapshot_bytes(frozen) == blob
 
     def test_attached_graph_rows_identical(self, frozen, blob):
-        attached = FrozenGraph._attached(
-            object_state(frozen), attach(blob).columns
-        )
+        attached = frozen.with_columns(attach(blob).columns)
         expected = [m.id for m in scan_messages(frozen)]
         assert [m.id for m in scan_messages(attached)] == expected
 

@@ -10,7 +10,7 @@ Covers the four satellite contracts of the redesign:
   buffer coordinates, the overlay and the task context — zero
   object-state pickle bytes — and workers rebuild the entity store
   from the snapfile's ``__entities__`` section;
-* the mapped providers survive ``ship()`` → ``pickle`` →
+* the mapped provider survives ``ship()`` → ``pickle`` →
   ``materialize()`` with row-identical reads, including an overlaid
   (dirty-manager) snapshot whose deltas must ride along with the
   mapped base — the full 25 BI + 14 IC differential runs the
@@ -37,7 +37,6 @@ from repro.exec.snapshot import (
     ENV_PROVIDER,
     InlineSnapshot,
     MmapFileSnapshot,
-    SharedMemorySnapshot,
     SnapshotConfig,
     SnapshotHandle,
     provide_snapshot,
@@ -75,7 +74,7 @@ class TestSnapshotConfig:
         assert resolved.morsel_size == 1024
 
     def test_explicit_knobs_beat_environment(self, clean_env):
-        clean_env.setenv(ENV_PROVIDER, "shared_memory")
+        clean_env.setenv(ENV_PROVIDER, "mmap_file")
         clean_env.setenv(ENV_FROZEN, "0")
         resolved = SnapshotConfig(provider="inline", freeze=True).resolved()
         assert resolved.provider == "inline"
@@ -87,6 +86,10 @@ class TestSnapshotConfig:
         clean_env.setenv(ENV_PROVIDER, "bogus")
         with pytest.raises(ValueError, match="provider"):
             SnapshotConfig().resolved()
+
+    def test_removed_shared_memory_provider_rejected(self, clean_env):
+        with pytest.raises(ValueError, match="provider"):
+            SnapshotConfig(provider="shared_memory").resolved()
 
     def test_invalid_numbers_rejected(self, clean_env):
         with pytest.raises(ValueError):
@@ -128,42 +131,34 @@ class TestProvideSnapshot:
         assert isinstance(handle, InlineSnapshot)
         assert counter.value == before + 1
 
-    def test_mapped_providers_for_frozen_graph(self, tiny_graph, clean_env):
+    def test_mapped_provider_for_frozen_graph(self, tiny_graph, clean_env):
         frozen = freeze(tiny_graph)
-        for provider, cls in (
-            ("mmap_file", MmapFileSnapshot),
-            ("shared_memory", SharedMemorySnapshot),
-        ):
-            handle = provide_snapshot(
-                frozen, config=SnapshotConfig(provider=provider)
-            )
-            try:
-                assert isinstance(handle, cls)
-                assert handle.provider == provider
-                assert handle.bytes_mapped() > 0
-                assert isinstance(handle, SnapshotHandle)
-            finally:
-                handle.close()
+        handle = provide_snapshot(
+            frozen, config=SnapshotConfig(provider="mmap_file")
+        )
+        try:
+            assert isinstance(handle, MmapFileSnapshot)
+            assert handle.provider == "mmap_file"
+            assert handle.bytes_mapped() > 0
+            assert isinstance(handle, SnapshotHandle)
+        finally:
+            handle.close()
 
 
 class TestSelfContainedShip:
-    @pytest.mark.parametrize("provider", ["mmap_file", "shared_memory"])
     def test_ship_payload_has_zero_object_state_bytes(
-        self, tiny_graph, clean_env, provider
+        self, tiny_graph, clean_env
     ):
         """The ship token is buffer coordinates + overlay + context
         only: no pickled store travels, and the stub stays thousands of
         times smaller than the entity state it replaces."""
         frozen = freeze(tiny_graph)
         handle = provide_snapshot(
-            frozen, config=SnapshotConfig(provider=provider)
+            frozen, config=SnapshotConfig(provider="mmap_file")
         )
         try:
             token = handle.ship()
-            coordinate = "path" if provider == "mmap_file" else "shm_name"
-            assert set(token.payload) == {
-                coordinate, "overlay", "context", "origin_pid"
-            }
+            assert set(token.payload) == {"path", "overlay", "context"}
             assert "state" not in token.payload
             assert token.payload["overlay"] is None
             stub_bytes = len(pickle.dumps(token))
@@ -189,9 +184,7 @@ def _bi18_rows(graph, binding):
 
 
 class TestShipMaterialize:
-    @pytest.mark.parametrize("provider", ["mmap_file", "shared_memory"])
-    def test_round_trip_row_identity(self, tiny_graph, tiny_config,
-                                     provider):
+    def test_round_trip_row_identity(self, tiny_graph, tiny_config):
         from repro.params.curation import ParameterGenerator
 
         frozen = freeze(tiny_graph)
@@ -199,7 +192,7 @@ class TestShipMaterialize:
         binding = tuple(params.bi(18, count=1)[0])
         expected = _bi18_rows(frozen, binding)
         handle = provide_snapshot(
-            frozen, config=SnapshotConfig(provider=provider)
+            frozen, config=SnapshotConfig(provider="mmap_file")
         )
         try:
             shipped = pickle.loads(pickle.dumps(handle.ship()))
@@ -268,9 +261,7 @@ class TestOverlayCarry:
 
 
 class TestFullDifferential:
-    @pytest.mark.parametrize("provider", ["mmap_file", "shared_memory"])
-    def test_all_reads_identical_to_inline(self, tiny_graph, tiny_config,
-                                           provider):
+    def test_all_reads_identical_to_inline(self, tiny_graph, tiny_config):
         """Every BI and IC read returns identical rows over a
         materialized mapped snapshot and the original frozen graph."""
         from repro.params.curation import ParameterGenerator
@@ -280,7 +271,7 @@ class TestFullDifferential:
         frozen = freeze(tiny_graph)
         params = ParameterGenerator(tiny_graph, tiny_config)
         handle = provide_snapshot(
-            frozen, config=SnapshotConfig(provider=provider)
+            frozen, config=SnapshotConfig(provider="mmap_file")
         )
         try:
             attached = pickle.loads(pickle.dumps(handle.ship())).materialize()
@@ -344,8 +335,7 @@ class TestFullDifferential:
 
 
 class TestPoolIntegration:
-    @pytest.mark.parametrize("provider", ["inline", "mmap_file",
-                                          "shared_memory"])
+    @pytest.mark.parametrize("provider", ["inline", "mmap_file"])
     def test_process_pool_over_each_provider(self, tiny_graph, tiny_config,
                                              provider, clean_env):
         from repro.params.curation import ParameterGenerator
@@ -410,11 +400,11 @@ class TestObservability:
     def test_bytes_mapped_gauge_published(self, tiny_graph, clean_env):
         frozen = freeze(tiny_graph)
         handle = provide_snapshot(
-            frozen, config=SnapshotConfig(provider="shared_memory")
+            frozen, config=SnapshotConfig(provider="mmap_file")
         )
         try:
             gauge = registry().gauge(
-                "repro_snapshot_bytes_mapped", provider="shared_memory"
+                "repro_snapshot_bytes_mapped", provider="mmap_file"
             )
             assert gauge.value == handle.bytes_mapped() > 0
         finally:

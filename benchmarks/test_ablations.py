@@ -170,39 +170,6 @@ def test_benchmark_factor_table_reuse(benchmark, base_graph, base_net):
     assert all(result)
 
 
-def test_result_cache_cp_6_1(base_net, base_params):
-    """CP-6.1: curated bindings repeat, so an inter-query result cache
-    pays for itself on read-heavy stretches."""
-    from repro.graph.cache import CachedQueryExecutor
-    from repro.queries.interactive.complex import ALL_COMPLEX
-
-    graph = SocialGraph.from_data(base_net, until=base_net.cutoff)
-    executor = CachedQueryExecutor(graph)
-    bindings = {n: base_params.interactive(n, count=3) for n in (2, 7, 9)}
-
-    def read_block(through_cache: bool) -> float:
-        start = time.perf_counter()
-        for round_index in range(12):
-            for number, binding_list in bindings.items():
-                params = binding_list[round_index % len(binding_list)]
-                query = ALL_COMPLEX[number][0]
-                if through_cache:
-                    executor.run(f"ic{number}", query, *params)
-                else:
-                    query(graph, *params)
-        return time.perf_counter() - start
-
-    uncached = read_block(False)
-    cached = read_block(True)
-    print(
-        f"\nCP-6.1 cache: uncached {1e3 * uncached:.1f} ms vs"
-        f" cached {1e3 * cached:.1f} ms"
-        f" (hit rate {executor.hit_rate:.0%})"
-    )
-    assert executor.hit_rate > 0.5
-    assert cached < uncached
-
-
 def test_benchmark_factor_table_rebuild(benchmark, base_graph, base_net):
     def curate_with_rebuild():
         return [

@@ -135,10 +135,6 @@ OPERATOR_COUNTER_CPS: dict[str, str] = {
     "heap_inserts": "1.3",      # top-k pushdown: rows offered
     "heap_rejections": "1.3",   # top-k pushdown: threshold short-cuts
     "heap_evictions": "1.3",    # top-k pushdown: compaction drops
-    "cache_hits": "6.1",        # inter-query result reuse
-    "cache_misses": "6.1",
-    "cache_invalidations": "6.1",
-    "cache_evictions": "6.1",
 }
 
 

@@ -15,14 +15,17 @@ The BI workload is benchmarked in two modes:
   second and the per-batch latency profile.
 
 All three tests execute through the :mod:`repro.exec` worker pool
-(``workers=1`` is the inline serial baseline), so they share one
-scheduling/deadline/retry layer and their parallel runs merge
-deterministically:
+(``workers=1`` is the inline serial baseline, anything above one
+process per worker), so they share one scheduling/deadline/retry layer
+and their parallel runs merge deterministically:
 
-* the power test and the concurrent read test run over an immutable
-  fork-shared snapshot with **process** workers;
-* the throughput test's read blocks use **thread** workers, because its
-  write microbatches mutate the shared graph between blocks.
+* the power test and the concurrent read test run one pool over an
+  immutable fork-shared snapshot;
+* the throughput test builds one pool per read block, *after* the
+  block's write microbatch, so its workers fork from the freshly
+  written state.  Under ``spawn`` each block ships its view by value
+  instead: on spawn-only platforms keep ``workers=1`` for
+  write-interleaved runs.
 
 Every result class derives from :class:`repro.core.run.RunReport`, so
 ``summary_dict()`` / ``format_table()`` / ``write_results_dir()`` are
@@ -32,7 +35,6 @@ available on all of them.
 from __future__ import annotations
 
 import math
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -46,10 +48,10 @@ from repro.exec import (
     SnapshotConfig,
     Task,
     WorkerPool,
+    accumulate_exec_stats,
     provide_snapshot,
     resolve_workers,
 )
-from repro.graph.cache import CachedQueryExecutor
 from repro.graph.frozen import FreezeManager, freeze
 from repro.graph.store import SocialGraph
 from repro.obs.metrics import registry
@@ -66,16 +68,6 @@ def _snapshot_config(snapshot: SnapshotConfig | None) -> SnapshotConfig:
     """One resolved :class:`SnapshotConfig` from the ``snapshot``
     argument (environment knobs fill anything left unset)."""
     return (snapshot or SnapshotConfig()).resolved()
-
-
-def _accumulate_exec_stats(total: dict, part: dict) -> dict:
-    """Sum one pool run's bookkeeping into a running ``exec`` record."""
-    if not total:
-        total.update(part)
-        return total
-    for name in ("tasks", "failures", "retries", "timeouts", "worker_crashes"):
-        total[name] = total.get(name, 0) + part.get(name, 0)
-    return total
 
 
 @dataclass
@@ -327,9 +319,6 @@ class ThroughputTestResult(RunReport):
     read_seconds: list[float]
     operations: int
     elapsed: float
-    #: Result-cache counters (CP-6.1) when the test ran through a
-    #: :class:`~repro.graph.cache.CachedQueryExecutor`; empty otherwise.
-    cache_stats: dict[str, float] = field(default_factory=dict)
     #: Worker-pool bookkeeping summed over all read blocks.
     exec_stats: dict = field(default_factory=dict)
 
@@ -345,7 +334,6 @@ class ThroughputTestResult(RunReport):
             "operations": self.operations,
             "elapsed_seconds": self.elapsed,
             "throughput_ops_per_second": self.throughput,
-            "cache_stats": self.cache_stats,
             "exec": self.exec_stats,
         }
 
@@ -360,22 +348,13 @@ class ThroughputTestResult(RunReport):
             if self.read_seconds
             else 0.0
         )
-        line = (
+        return (
             f"{len(self.batch_seconds)} microbatches,"
             f" mean write batch {mean_batch:.2f} ms,"
             f" mean read block {mean_reads:.2f} ms,"
             f" {self.operations} ops in {self.elapsed:.2f}s"
             f" -> {self.throughput:.0f} ops/s"
         )
-        if self.cache_stats:
-            line += (
-                f"\ncache: hits={self.cache_stats['hits']:.0f}"
-                f" misses={self.cache_stats['misses']:.0f}"
-                f" invalidations={self.cache_stats['invalidations']:.0f}"
-                f" evictions={self.cache_stats['evictions']:.0f}"
-                f" hit_rate={self.cache_stats['hit_rate']:.2f}"
-            )
-        return line
 
 
 @dataclass
@@ -485,7 +464,6 @@ def throughput_test(
     params: ParameterGenerator,
     batches: list[Microbatch],
     reads_per_batch: int = 5,
-    executor: CachedQueryExecutor | None = None,
     workers: int | None = None,
     timeout: float | None = None,
     snapshot: SnapshotConfig | None = None,
@@ -496,12 +474,17 @@ def throughput_test(
     rotating curated bindings) run after each batch, emulating the
     refresh-then-analyse loop of the paper's throughput test.
 
-    Writes always apply serially in the calling thread (they mutate the
-    shared graph); the read block runs through the :mod:`repro.exec`
-    pool — inline for ``workers=1``, **thread** workers otherwise, since
-    process workers cannot see the freshly written state without
-    re-forking per batch.  Reads invalidated by deletes count as
-    operations with a ``-1`` row marker, exactly as in a serial run.
+    Writes always apply serially in the calling process (they mutate
+    the live graph); each read block then runs through a fresh
+    :mod:`repro.exec` pool — inline for ``workers=1``, otherwise process
+    workers forked after the block's writes, so every worker reads the
+    post-write view.  ``timeout`` is therefore a hard per-read deadline
+    at ``workers > 1`` (worker killed, read retried once, then
+    recorded) and a soft one at ``workers=1``.  Under the ``spawn``
+    start method each block ships its view by value — correct but slow;
+    on spawn-only platforms keep ``workers=1``.  Reads invalidated by
+    deletes count as operations with a ``-1`` row marker, exactly as in
+    a serial run.
 
     ``snapshot.freeze`` (default on, like :func:`power_test`): the live
     store stays the write path, and each read block runs against the
@@ -515,26 +498,13 @@ def throughput_test(
     run, exactly like an incremental index refresh would be.  Pass
     ``compact_fraction=0.0`` to restore the old refreeze-every-batch
     behaviour (the benchmark baseline).
-
-    With ``executor`` supplied (a :class:`CachedQueryExecutor` wrapping
-    ``graph``), reads route through the inter-query result cache and
-    writes invalidate it; the executor's counters land in
-    :attr:`ThroughputTestResult.cache_stats` (CP-6.1).  Cached reads are
-    serialized under a lock when parallel — the cache's bookkeeping is
-    not thread safe — which keeps hit/miss counts identical to serial.
-    Cached reads execute on the executor's own (live) graph and count
-    as ``live_fallback`` in the ``repro_frozen_path_total`` metric.
     """
-    if executor is not None and executor.graph is not graph:
-        raise ValueError("executor must wrap the same graph")
     config = _snapshot_config(snapshot)
-    workers_n = resolve_workers(workers)
     manager = (
         FreezeManager(graph, compact_fraction=config.compact_fraction)
         if config.freeze
         else None
     )
-    context = {"executor": executor, "executor_lock": threading.Lock()}
     batch_seconds: list[float] = []
     read_seconds: list[float] = []
     operations = 0
@@ -552,8 +522,6 @@ def throughput_test(
                 with span(f"batch[{batch_index}]", kind="operation",
                           writes=batch.size):
                     write_start = time.perf_counter()
-                    if executor is not None and batch.size:
-                        executor.invalidate()
                     for insert in batch.inserts:
                         try:
                             ALL_UPDATES[insert.operation_id][0](
@@ -584,19 +552,13 @@ def throughput_test(
                         )
                         read_cursor += 1
                     read_graph = graph if manager is None else manager.frozen()
-                    # capture_spans=False: the serial (workers=1) and thread
-                    # (workers>1) read blocks must leave identically shaped
-                    # traces, and threads can only synthesize.
-                    # Always inline: the context's ``executor_lock`` is
-                    # unpicklable and thread workers share the parent's
-                    # address space anyway, so mapped providers would
-                    # buy nothing here.
+                    # Always inline: the view changes every block, so a
+                    # mapped provider would re-serialize it per block;
+                    # forked workers inherit it for free.
                     pool = WorkerPool(
-                        workers=workers_n,
-                        backend="thread" if workers_n > 1 else "serial",
+                        workers=workers,
                         timeout=timeout,
-                        snapshot=InlineSnapshot(read_graph, context=context),
-                        capture_spans=False,
+                        snapshot=InlineSnapshot(read_graph),
                     )
                     block = pool.run(tasks)
                     read_seconds.append(block.elapsed)
@@ -604,7 +566,7 @@ def throughput_test(
                         block.elapsed
                     )
                     operations += len(tasks)
-                    _accumulate_exec_stats(exec_stats, block.stats_dict())
+                    accumulate_exec_stats(exec_stats, block.stats_dict())
     finally:
         if manager is not None:
             manager.detach()
@@ -613,6 +575,5 @@ def throughput_test(
         read_seconds=read_seconds,
         operations=operations,
         elapsed=time.perf_counter() - started,
-        cache_stats=executor.stats() if executor is not None else {},
         exec_stats=exec_stats,
     )

@@ -16,6 +16,12 @@ Ratio: ``wall_gap = sim_gap * tcr``.  A TCR of 0 replays as fast as
 possible.  Every operation is logged with its scheduled and actual start
 time; the §6.2 validity rule (95 % of queries start within 1 second of
 schedule) is evaluated over the log.
+
+Flat-out replays (TCR 0) with ``workers > 1`` run each maximal run of
+consecutive complex reads on a :mod:`repro.exec` process pool forked
+after the writes before it; under the ``spawn`` start method every such
+pool ships the graph by value, so on spawn-only platforms keep
+``workers=1``.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from repro.exec import (
     SnapshotConfig,
     Task,
     WorkerPool,
+    accumulate_exec_stats,
     resolve_workers,
 )
 from repro.graph.frozen import FreezeManager
@@ -212,19 +219,22 @@ class Driver:
 
         ``warmup_reads`` complex reads are executed before the clock
         starts (spec §6.2's warmup phase): the first bindings of the
-        schedule's read operations run unlogged, warming the process and
-        any result caches, without mutating the graph.
+        schedule's read operations run unlogged, warming the process
+        without mutating the graph.
 
-        ``workers > 1`` executes runs of consecutive complex reads on a
-        :mod:`repro.exec` worker pool (thread backend — the updates in
-        between mutate the shared graph).  The results log keeps
-        schedule order, short-read sequences still issue serially from
+        ``workers > 1`` executes each run of consecutive complex reads
+        on its own :mod:`repro.exec` worker pool, forked after the
+        writes before it (a run of one read executes inline).  The
+        results log keeps schedule order, short-read sequences still
+        issue serially from
         each read's results, and the driver RNG is drawn in schedule
         order, so a parallel run's log is identical in content to a
         serial run's.  Parallel issue applies only to flat-out replays
         (``time_compression_ratio`` 0); paced runs schedule each
         operation individually and stay serial.  ``timeout`` bounds each
-        parallel read (soft deadline; see :class:`repro.exec.WorkerPool`).
+        parallel read: a hard deadline (worker killed, read retried once,
+        then recorded) wherever a run holds more than one read; see
+        :class:`repro.exec.WorkerPool`.
 
         ``freeze_reads`` (opt-in, parallel runs only) serves each flush
         of buffered complex reads from the
@@ -240,8 +250,9 @@ class Driver:
 
         ``snapshot`` (a :class:`repro.exec.SnapshotConfig`) supplies the
         delta-compaction fraction for ``freeze_reads``; reads always go
-        through :class:`~repro.exec.InlineSnapshot` here — the pool is
-        thread-backed, so a mapped provider would buy nothing.
+        through :class:`~repro.exec.InlineSnapshot` here — the view
+        changes between flushes, so a mapped provider would re-serialize
+        it per flush where forked workers inherit it for free.
         """
         workers_n = resolve_workers(workers)
         if warmup_reads:
@@ -341,15 +352,13 @@ class Driver:
         """Flat-out replay with parallel complex reads.
 
         Writes apply serially in schedule order; maximal runs of
-        consecutive complex reads execute together on a thread pool over
-        the live graph (reads are pure).  Log entries and short-read
-        sequences are emitted in schedule order afterwards, which is
-        what keeps the merged log deterministic.
+        consecutive complex reads execute together on a pool forked
+        from the current graph (reads are pure).  Log entries and
+        short-read sequences are emitted in schedule order afterwards,
+        which is what keeps the merged log deterministic.
         """
         log: list[ResultsLogEntry] = []
-        exec_stats: dict = {"workers": workers, "backend": "thread",
-                            "tasks": 0, "failures": 0, "retries": 0,
-                            "timeouts": 0, "worker_crashes": 0}
+        exec_stats: dict = {}
         config = (snapshot or SnapshotConfig()).resolved()
         manager = (
             FreezeManager(
@@ -367,7 +376,6 @@ class Driver:
             read_graph = self.graph if manager is None else manager.frozen()
             pool = WorkerPool(
                 workers=min(workers, len(buffer)),
-                backend="thread" if len(buffer) > 1 else "serial",
                 timeout=timeout,
                 snapshot=InlineSnapshot(read_graph),
             )
@@ -375,10 +383,7 @@ class Driver:
                 Task(index, "ic", (op.number, tuple(op.params)))
                 for index, op in enumerate(buffer)
             )
-            part = merged.stats_dict()
-            for key in ("tasks", "failures", "retries", "timeouts",
-                        "worker_crashes"):
-                exec_stats[key] += part[key]
+            accumulate_exec_stats(exec_stats, merged.stats_dict())
             for op, outcome in zip(buffer, merged.outcomes):
                 invalidated = not outcome.ok or outcome.value is None
                 result = [] if invalidated else outcome.value

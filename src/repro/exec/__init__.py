@@ -1,7 +1,8 @@
 """repro.exec — process-parallel benchmark execution.
 
 The execution subsystem the BI throughput methodology calls for: a
-worker-pool scheduler (:class:`WorkerPool`) running registered task
+worker-pool scheduler (:class:`WorkerPool` — serial at one worker, one
+process per worker above) running registered task
 kinds (:mod:`repro.exec.tasks`) over an immutable shared snapshot
 handle (:mod:`repro.exec.snapshot` — inline/fork-inherited or a mapped
 snapshot file), with bounded dispatch, per-task
@@ -16,6 +17,7 @@ from repro.exec.pool import (
     ENV_WORKERS,
     PoolResult,
     WorkerPool,
+    accumulate_exec_stats,
     default_workers,
     resolve_workers,
 )
@@ -58,6 +60,7 @@ __all__ = [
     "Task",
     "TaskOutcome",
     "WorkerPool",
+    "accumulate_exec_stats",
     "activate",
     "active",
     "default_workers",

@@ -5,22 +5,26 @@ deadlines, crash handling — as part of the benchmark itself, not an
 implementation detail of one SUT.  :class:`WorkerPool` is that layer for
 this reproduction:
 
-* **Backends** — ``process`` (default for ``workers > 1``): one
-  single-threaded OS process per worker over a shared
+* **Serial or process, nothing else** — the execution mode is derived
+  from ``workers``: one worker runs the tasks inline in the calling
+  process (``serial``), through the exact same task runners, which is
+  what makes it a valid baseline; more than one runs one
+  single-threaded OS process per worker (``process``) over a shared
   :class:`~repro.exec.snapshot.SnapshotHandle` (fork-inherited for the
-  inline provider, attach-by-path/name for the mapped ones), giving
-  genuine parallelism and hard timeouts; ``thread``: in-process workers
-  sharing a (possibly mutable) graph, used where writes interleave with
-  reads; ``serial`` (forced for ``workers == 1``): inline execution
-  through the exact same task runners, which is what makes it a valid
-  baseline.
+  inline provider, attach-by-path for the mapped one), giving genuine
+  parallelism and hard timeouts.  Workers see the graph as it was when
+  :meth:`WorkerPool.run` started them, so a driver that interleaves
+  writes with read blocks builds one pool per block, *after* the
+  preceding writes.  Under ``fork`` that costs one fork per worker per
+  block; under ``spawn`` the snapshot ships by value per block, so on
+  spawn-only platforms keep ``workers=1`` for write-interleaved runs.
 * **Bounded dispatch** — at most ``queue_depth`` tasks are pulled ahead
   of the workers, so a generator of tasks is consumed lazily and a slow
   pool never materializes an unbounded backlog.
-* **Deadlines** — ``timeout`` seconds per task.  The process backend
-  enforces it by terminating the worker; serial/thread backends apply it
-  *softly* (the attempt runs to completion, then is classified), since a
-  Python thread cannot be killed.
+* **Deadlines** — ``timeout`` seconds per task.  A process pool
+  enforces it by terminating the worker; a serial pool applies it
+  *softly* (the attempt runs to completion, then is classified), since
+  the calling thread cannot be killed.
 * **Retry-once-then-record** — a task that errors, times out, or loses
   its worker to a crash is retried exactly once; a second failure is
   recorded as a terminal :class:`~repro.exec.tasks.TaskOutcome` rather
@@ -33,21 +37,15 @@ this reproduction:
   parallel run's merged :class:`PoolResult` is identical to a serial
   run's whenever the tasks themselves are deterministic (the spec's
   section 2.3.3 requirement, extended from datagen to execution).
-* **Telemetry** — with tracing enabled (:mod:`repro.obs`), the serial
-  and process backends capture each task's span tree
-  (:func:`~repro.obs.spans.task_capture`), ship it back inside the
-  :class:`~repro.exec.tasks.TaskOutcome`, and graft all trees under one
-  ``pool`` span in submission order — so a parallel trace has exactly
-  the serial trace's shape.  Process workers also ship their
-  metrics-registry deltas, merged in the same order; with the sampling
-  profiler on (:mod:`repro.obs.prof`), each worker runs its own
-  sampler and ships per-task profile/timeline deltas, grafted in the
-  same submission order.  The thread
-  backend cannot capture (the global tracer is not per-thread); it
-  grafts synthesized task spans instead, and worker-thread operator
-  spans are muted for the duration of the run.  ``capture_spans=False``
-  forces the synthesized-only shape on every backend, which is what the
-  throughput test uses to keep serial and thread structurally identical.
+* **Telemetry** — with tracing enabled (:mod:`repro.obs`), every task's
+  span tree is captured (:func:`~repro.obs.spans.task_capture`),
+  shipped back inside the :class:`~repro.exec.tasks.TaskOutcome`, and
+  all trees are grafted under one ``pool`` span in submission order —
+  so a parallel trace has exactly the serial trace's shape.  Process
+  workers also ship their metrics-registry deltas, merged in the same
+  order; with the sampling profiler on (:mod:`repro.obs.prof`), each
+  worker runs its own sampler and ships per-task profile/timeline
+  deltas, grafted in the same submission order.
 
 Deadline bookkeeping uses ``time.monotonic()``; those reads carry
 reasoned ``allow-wall-clock`` waivers because rule R1 of ``repro.lint``
@@ -61,8 +59,6 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import pickle
-import queue as queue_mod
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -81,11 +77,9 @@ from repro.obs.prof import (
     subtract_profile,
 )
 from repro.obs.spans import (
-    NullTracer,
     Span,
     disable_tracing,
     graft_outcomes,
-    set_tracer,
     synthesize_task_span,
     task_capture,
     tracer,
@@ -105,14 +99,12 @@ from repro.exec.tasks import (
 #: parallel paths everywhere).
 ENV_WORKERS = "REPRO_EXEC_WORKERS"
 
-#: Environment override for the process backend's start method
+#: Environment override for the process pool's start method
 #: (``fork``/``spawn``/``forkserver``).  The default prefers ``fork``
 #: where available; the override exists so the spawn ship/materialize
 #: path — the one real multi-host deployments and macOS use — can be
 #: exercised on Linux in CI.
 ENV_START_METHOD = "REPRO_EXEC_START_METHOD"
-
-BACKENDS = ("serial", "thread", "process")
 
 
 def default_workers() -> int:
@@ -151,8 +143,7 @@ class PoolResult:
     retries: int = 0
     timeouts: int = 0
     crashes: int = 0
-    #: Engine operator counters summed across workers (per-task for the
-    #: serial/process backends, one pool-wide delta for threads).
+    #: Engine operator counters summed over the per-task tallies.
     counters: dict[str, int] = field(default_factory=dict)
 
     def values(self) -> list[Any]:
@@ -176,6 +167,18 @@ class PoolResult:
         }
 
 
+def accumulate_exec_stats(total: dict, part: dict) -> dict:
+    """Sum one pool run's :meth:`PoolResult.stats_dict` into a running
+    ``exec`` record, for drivers that build one pool per read block;
+    ``workers`` and ``backend`` stay those of the first pool."""
+    if not total:
+        total.update(part)
+        return total
+    for name in ("tasks", "failures", "retries", "timeouts", "worker_crashes"):
+        total[name] += part[name]
+    return total
+
+
 @dataclass
 class _RunStats:
     retries: int = 0
@@ -196,14 +199,12 @@ def _execute(
     task: Task,
     worker: int,
     attempts: int,
-    capture_counters: bool = True,
-    capture_spans: bool = False,
+    trace: bool = False,
     capture_metrics: bool = False,
     capture_profile: bool = False,
 ) -> TaskOutcome:
     """Run one attempt in the current process and classify it."""
-    if capture_counters:
-        reset_counters()
+    reset_counters()
     before = registry().snapshot() if capture_metrics else None
     before_profile = (
         profiler().snapshot()
@@ -212,7 +213,7 @@ def _execute(
     )
     spans: list[Span] = []
     started = time.perf_counter()
-    if capture_spans:
+    if trace:
         with task_capture(
             f"{task.kind}[{task.index}]",
             task_kind=task.kind,
@@ -223,9 +224,7 @@ def _execute(
     else:
         value = _attempt(task)
     duration = time.perf_counter() - started
-    counters = (
-        reset_counters().as_dict(skip_zero=True) if capture_counters else {}
-    )
+    counters = reset_counters().as_dict(skip_zero=True)
     metrics = (
         subtract_snapshot(registry().snapshot(), before)
         if before is not None
@@ -267,16 +266,16 @@ def _worker_main(
     worker_id: int,
     conn: Any,
     payload: bytes | None,
-    capture_spans: bool = False,
+    trace: bool = False,
     profile_hz: float | None = None,
 ) -> None:
-    """Process-backend worker body: recv (task, attempt), send outcome."""
+    """Process-pool worker body: recv (task, attempt), send outcome."""
     if payload is not None:  # spawn start method: no fork inheritance
         # The payload is a pickled ShippedSnapshot: inline providers
         # carry the object graph itself; mapped providers carry buffer
         # coordinates and reattach the columns zero-copy here.
         activate(pickle.loads(payload).materialize())
-    if not capture_spans:
+    if not trace:
         # Fork children inherit the parent's live tracer; mute it so
         # uncaptured operator spans do not pile up in the worker's copy.
         disable_tracing()
@@ -298,7 +297,7 @@ def _worker_main(
             task,
             worker_id,
             attempt + 1,
-            capture_spans=capture_spans,
+            trace=trace,
             capture_metrics=True,
             capture_profile=bool(profile_hz),
         )
@@ -317,7 +316,7 @@ class _ProcWorker:
         ctx: Any,
         worker_id: int,
         payload: bytes | None,
-        capture_spans: bool = False,
+        trace: bool = False,
         profile_hz: float | None = None,
     ):
         self.worker_id = worker_id
@@ -325,7 +324,7 @@ class _ProcWorker:
         self.conn = parent_conn
         self.process = ctx.Process(
             target=_worker_main,
-            args=(worker_id, child_conn, payload, capture_spans, profile_hz),
+            args=(worker_id, child_conn, payload, trace, profile_hz),
             daemon=True,
         )
         self.process.start()
@@ -360,29 +359,22 @@ class WorkerPool:
     """Run tasks over N workers with deadlines, retries and recovery.
 
     ``workers=None`` resolves through :func:`resolve_workers` (the
-    ``REPRO_EXEC_WORKERS`` environment default); ``workers=1`` always
-    executes serially in-process.  ``backend=None`` picks ``process``
-    for multi-worker pools.  ``queue_depth`` bounds how many tasks are
-    pulled ahead of the workers (default ``2 * workers``).
+    ``REPRO_EXEC_WORKERS`` environment default); ``workers=1`` executes
+    serially in-process, anything above on one process per worker
+    (:attr:`backend` reports which).  ``queue_depth`` bounds how many
+    tasks are pulled ahead of the workers (default ``2 * workers``).
     """
 
     def __init__(
         self,
         workers: int | None = None,
-        backend: str | None = None,
         timeout: float | None = None,
         queue_depth: int | None = None,
         snapshot: SnapshotHandle | None = None,
-        capture_spans: bool = True,
     ):
         self.workers = resolve_workers(workers)
-        if backend is None:
-            backend = "serial" if self.workers == 1 else "process"
-        if backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}")
-        if self.workers == 1:
-            backend = "serial"
-        self.backend = backend
+        #: Reported label, derived: ``serial`` at one worker, else ``process``.
+        self.backend = "serial" if self.workers == 1 else "process"
         if timeout is not None and timeout <= 0:
             raise ValueError("timeout must be positive")
         self.timeout = timeout
@@ -390,11 +382,6 @@ class WorkerPool:
             raise ValueError("queue_depth must be >= 1")
         self.queue_depth = queue_depth or 2 * self.workers
         self.snapshot = snapshot if snapshot is not None else InlineSnapshot()
-        #: Capture real per-task span trees (serial/process backends)
-        #: when tracing is on.  ``False`` forces the synthesized-only
-        #: trace shape on every backend — the structure the thread
-        #: backend is limited to anyway.
-        self.capture_spans = capture_spans
 
     # -- public surface ----------------------------------------------------
 
@@ -406,12 +393,10 @@ class WorkerPool:
         ensure_profiling()
         stats = _RunStats()
         started = time.perf_counter()
-        if self.backend == "serial":
-            outcomes, counters = self._run_serial(tasks, stats)
-        elif self.backend == "thread":
-            outcomes, counters = self._run_thread(tasks, stats)
+        if self.workers == 1:
+            outcomes = self._run_serial(tasks, stats)
         else:
-            outcomes, counters = self._run_process(tasks, stats)
+            outcomes = self._run_process(tasks, stats)
         outcomes.sort(key=lambda outcome: outcome.index)
         for outcome in outcomes:  # worker-registry deltas, merge order fixed
             if outcome.metrics:
@@ -431,7 +416,7 @@ class WorkerPool:
             retries=stats.retries,
             timeouts=stats.timeouts,
             crashes=stats.crashes,
-            counters=counters,
+            counters=merge_counters(o.counters for o in outcomes),
         )
 
     # -- telemetry ---------------------------------------------------------
@@ -458,9 +443,9 @@ class WorkerPool:
 
     def _graft_trace(self, outcomes: list[TaskOutcome]) -> None:
         """Attach one ``pool`` span holding every task's tree, in
-        submission order; tasks without a captured tree (thread backend,
-        timeouts, crashes, ``capture_spans=False``) get a synthesized
-        span, so the trace shape stays deterministic."""
+        submission order; tasks without a captured tree (timeouts,
+        crashes) get a synthesized span, so the trace shape stays
+        deterministic."""
         if not tracer().enabled:
             return
         task_spans: list[list[Span]] = []
@@ -490,126 +475,50 @@ class WorkerPool:
             tasks=len(outcomes),
         )
 
-    # -- serial / thread backends -----------------------------------------
+    # -- serial ------------------------------------------------------------
 
     def _soft_guard(self, outcome: TaskOutcome) -> TaskOutcome:
         """Apply the soft deadline: an overlong successful attempt is
         reclassified as a timeout (its value and counters are dropped,
-        matching the hard-timeout backend where they never existed)."""
+        matching the hard timeout, where they never existed)."""
         if (
             self.timeout is not None
             and outcome.status == STATUS_OK
             and outcome.duration > self.timeout
         ):
-            # Spans are dropped with the value: the hard-timeout backend
-            # kills the worker before any tree could ship, and the soft
-            # path must end in the same (synthesized-span) shape.
+            # Spans are dropped with the value: the hard timeout kills
+            # the worker before any tree could ship, and the soft path
+            # must end in the same (synthesized-span) shape.
             return replace(
                 outcome, status=STATUS_TIMEOUT, value=None, counters={},
                 spans=[], profile={},
             )
         return outcome
 
-    def _attempt_inline(
-        self,
-        task: Task,
-        worker: int,
-        stats: _RunStats,
-        capture: bool,
-        spans: bool = False,
-    ) -> TaskOutcome:
-        """Retry-once-then-record for the in-process backends."""
-        outcome = self._soft_guard(
-            _execute(task, worker, 1, capture, capture_spans=spans)
-        )
+    def _attempt_inline(self, task: Task, stats: _RunStats) -> TaskOutcome:
+        """Retry-once-then-record for the serial pool."""
+        trace = tracer().enabled
+        outcome = self._soft_guard(_execute(task, 0, 1, trace=trace))
         if outcome.ok:
             return outcome
         stats.retries += 1
         if outcome.status == STATUS_TIMEOUT:
             stats.timeouts += 1
-        retried = self._soft_guard(
-            _execute(task, worker, 2, capture, capture_spans=spans)
-        )
+        retried = self._soft_guard(_execute(task, 0, 2, trace=trace))
         if retried.status == STATUS_TIMEOUT:
             stats.timeouts += 1
         return retried
 
     def _run_serial(
         self, tasks: Iterable[Task], stats: _RunStats
-    ) -> tuple[list[TaskOutcome], dict[str, int]]:
+    ) -> list[TaskOutcome]:
         previous = activate(self.snapshot)
-        capture = self.capture_spans and tracer().enabled
-        # capture_spans=False with tracing on: mute the tracer so inline
-        # tasks cannot leak operator spans the other backends would not
-        # have (the trace shape must not depend on the backend).
-        muted = (
-            set_tracer(NullTracer())
-            if tracer().enabled and not capture
-            else None
-        )
         try:
-            outcomes = [
-                self._attempt_inline(task, 0, stats, capture=True, spans=capture)
-                for task in tasks
-            ]
+            return [self._attempt_inline(task, stats) for task in tasks]
         finally:
-            if muted is not None:
-                set_tracer(muted)
             activate(previous)
-        return outcomes, merge_counters(o.counters for o in outcomes)
 
-    def _run_thread(
-        self, tasks: Iterable[Task], stats: _RunStats
-    ) -> tuple[list[TaskOutcome], dict[str, int]]:
-        previous = activate(self.snapshot)
-        # The global tracer cannot be swapped per worker thread, so the
-        # thread backend never captures; mute it for the run's duration
-        # (the pool grafts synthesized task spans afterwards).
-        muted = set_tracer(NullTracer()) if tracer().enabled else None
-        work: queue_mod.Queue = queue_mod.Queue(maxsize=self.queue_depth)
-        outcomes: list[TaskOutcome] = []
-        lock = threading.Lock()
-        stats_lock = threading.Lock()
-
-        def body(worker_id: int) -> None:
-            local = _RunStats()
-            while True:
-                task = work.get()
-                if task is None:
-                    break
-                # Threads share the engine's process-global counters, so
-                # per-task attribution is impossible; the pool reports
-                # one aggregate delta instead (capture=False).
-                outcome = self._attempt_inline(
-                    task, worker_id, local, capture=False
-                )
-                with lock:
-                    outcomes.append(outcome)
-            with stats_lock:
-                stats.retries += local.retries
-                stats.timeouts += local.timeouts
-
-        reset_counters()
-        threads = [
-            threading.Thread(target=body, args=(worker_id,), daemon=True)
-            for worker_id in range(self.workers)
-        ]
-        for thread in threads:
-            thread.start()
-        try:
-            for task in tasks:  # blocks when the bounded queue is full
-                work.put(task)
-        finally:
-            for _ in threads:
-                work.put(None)
-            for thread in threads:
-                thread.join()
-            if muted is not None:
-                set_tracer(muted)
-            activate(previous)
-        return outcomes, reset_counters().as_dict(skip_zero=True)
-
-    # -- process backend ---------------------------------------------------
+    # -- process ------------------------------------------------------------
 
     def _tick(self) -> float:
         if self.timeout is None:
@@ -618,7 +527,7 @@ class WorkerPool:
 
     def _run_process(
         self, tasks: Iterable[Task], stats: _RunStats
-    ) -> tuple[list[TaskOutcome], dict[str, int]]:
+    ) -> list[TaskOutcome]:
         available = mp.get_all_start_methods()
         method = os.environ.get(ENV_START_METHOD, "").strip()
         if method and method not in available:
@@ -634,7 +543,7 @@ class WorkerPool:
             payload = pickle.dumps(self.snapshot.ship())
         # Fork inheritance: children see the handle activated here.
         previous = activate(self.snapshot)
-        capture = self.capture_spans and tracer().enabled
+        capture = tracer().enabled
         # Workers profile at the parent's rate and ship per-task deltas.
         profile_hz = profiler().hz if profiler().enabled else None
         workers = {}
@@ -645,7 +554,7 @@ class WorkerPool:
                 )
                 for worker_id in range(self.workers)
             }
-            outcomes = self._supervise(
+            return self._supervise(
                 context, payload, workers, iter(tasks), stats, capture,
                 profile_hz,
             )
@@ -653,7 +562,6 @@ class WorkerPool:
             for worker in workers.values():
                 worker.stop()
             activate(previous)
-        return outcomes, merge_counters(o.counters for o in outcomes)
 
     def _supervise(
         self,

@@ -1,6 +1,6 @@
 """The Snapshot API: how workers obtain graph state.
 
-Every execution backend — serial, thread, forked or spawned process —
+Every pool — serial, forked or spawned process —
 receives graph state through one typed surface:
 
 * :class:`SnapshotConfig` — the declarative knobs (provider, freeze,
@@ -197,8 +197,7 @@ class InlineSnapshot:
     """The in-process provider: the graph object itself.  Forked
     workers inherit it through copy-on-write pages; spawned workers
     unpickle the whole object graph (the pre-snapfile behaviour, and
-    still the right answer for thread/serial backends and live
-    graphs)."""
+    still the right answer for serial pools and live graphs)."""
 
     provider = "inline"
 

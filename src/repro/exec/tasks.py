@@ -50,31 +50,28 @@ class TaskOutcome:
     #: Wall time of the recorded attempt (the timeout bound for
     #: ``timeout`` outcomes).
     duration: float = 0.0
-    #: perf_counter at the start of the recorded attempt; only
-    #: comparable across tasks for in-process backends (serial/thread).
+    #: perf_counter at the start of the recorded attempt, read in the
+    #: process that ran it (comparable with the parent's only where the
+    #: clock is system-wide, as on Linux).
     started: float = 0.0
     attempts: int = 1
     worker: int = 0
     error: str | None = None
-    #: Engine operator-counter deltas attributable to this task
-    #: (serial/process backends; empty for the thread backend, whose
-    #: counters are aggregated pool-wide instead).
+    #: Engine operator-counter deltas attributable to this task.
     counters: dict[str, int] = field(default_factory=dict)
     #: The task's kind, echoed back so parent-side telemetry can label
     #: its metrics without re-deriving the submission list.
     kind: str = ""
-    #: Span trees captured while the task ran (serial/process backends
-    #: with tracing on; always empty for the thread backend — the global
-    #: tracer is not safe to swap per worker thread).
+    #: Span trees captured while the task ran (tracing on only).
     spans: list = field(default_factory=list)
     #: Metrics-registry delta accumulated by this task in a worker
-    #: process (``subtract_snapshot`` form); empty for in-process
-    #: backends, whose updates land in the parent registry directly.
+    #: process (``subtract_snapshot`` form); empty on a serial pool,
+    #: whose updates land in the parent registry directly.
     metrics: dict = field(default_factory=dict)
     #: Profiler delta (stacks + timeline samples) accumulated by this
-    #: task in a worker process (``subtract_profile`` form); empty for
-    #: in-process backends, whose samples land in the parent profiler
-    #: directly, and whenever profiling is disabled.
+    #: task in a worker process (``subtract_profile`` form); empty on a
+    #: serial pool, whose samples land in the parent profiler directly,
+    #: and whenever profiling is disabled.
     profile: dict = field(default_factory=dict)
 
     @property
@@ -120,30 +117,14 @@ def _run_bi_throughput(
     graph: Any, context: dict, number: int, params: tuple
 ) -> int:
     """One BI read of the throughput read block; returns the row count,
-    or ``-1`` when a delete invalidated the curated parameters.
-
-    Routes through the snapshot context's ``executor`` (a
-    :class:`~repro.graph.cache.CachedQueryExecutor`) when present, under
-    the context's ``executor_lock`` — the cache's bookkeeping is not
-    thread safe, and serializing cached reads keeps hit/miss counts
-    identical to a serial run.
-    """
+    or ``-1`` when a delete invalidated the curated parameters."""
     from repro.queries.bi import ALL_QUERIES
 
-    query = ALL_QUERIES[number][0]
-    executor = context.get("executor")
-    # Cached reads run against the executor's own (live) graph, so they
-    # count as live_fallback even when the pool snapshot is frozen.
-    _tally_read_path(executor.graph if executor is not None else graph)
+    _tally_read_path(graph)
     try:
-        if executor is not None:
-            with context["executor_lock"]:
-                rows = executor.run(f"bi{number}", query, *params)
-        else:
-            rows = query(graph, *params)
+        return len(ALL_QUERIES[number][0](graph, *params))
     except KeyError:
         return -1
-    return len(rows)
 
 
 def _run_ic(graph: Any, context: dict, number: int, params: tuple) -> list | None:
@@ -182,7 +163,7 @@ def _run_stream(
 
 def _run_call(graph: Any, context: dict, fn: Callable, args: tuple = ()) -> Any:
     """Generic escape hatch: run ``fn(*args)``.  ``fn`` must be a
-    module-level callable for the process backend (pipe pickling)."""
+    module-level callable on a process pool (pipe pickling)."""
     return fn(*args)
 
 

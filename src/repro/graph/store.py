@@ -1031,14 +1031,6 @@ class SocialGraph:
     def tagclass_id(self, name: str) -> int:
         return self._tagclass_by_name[name]
 
-    def copy(self) -> "SocialGraph":
-        """A deep, independent copy of the store (entities, relations
-        and every index).  Useful for measured runs that must not
-        disturb a shared loaded snapshot."""
-        import pickle
-
-        return pickle.loads(pickle.dumps(self))
-
     # ------------------------------------------------------------------
     # Summary statistics
     # ------------------------------------------------------------------

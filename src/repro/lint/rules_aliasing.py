@@ -20,10 +20,9 @@ therefore never happen outside construction:
 The rule is flow-sensitive (see :mod:`repro.lint.flow`): a write-back of
 the *same* object (``rows = self.likes_edges; rows.remove(x);
 self.likes_edges = rows``) is allowed, and construction contexts are
-exempt — methods reachable only from ``__init__`` (freeze-time column
-builders) and alternate constructors that build a fresh instance via
-``cls.__new__(cls)`` (the worker-side snapshot rebuild), since the
-instance they populate has no other view aliasing it yet.
+exempt — ``__init__`` and methods reachable only from it (freeze-time
+column builders), since the instance they populate has no other view
+aliasing it yet.
 """
 
 from __future__ import annotations
@@ -168,26 +167,6 @@ def _ctor_container_attrs(cls: ast.ClassDef) -> set[str]:
     return attrs
 
 
-def _alternate_constructors(cls: ast.ClassDef) -> set[str]:
-    """Methods that build a fresh instance via ``cls.__new__(cls)`` —
-    alternate constructors such as the worker-side snapshot rebuild
-    classmethod.  Like ``__init__`` they assign columns on an instance
-    no other view aliases yet, so rebind checks do not apply."""
-    names: set[str] = set()
-    for name, func in class_methods(cls).items():
-        for node in ast.walk(func):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "__new__"
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id == "cls"
-            ):
-                names.add(name)
-                break
-    return names
-
-
 def _is_container_expr(expr: ast.expr) -> bool:
     if isinstance(
         expr,
@@ -217,11 +196,7 @@ def check_snapshot_aliasing(context: FileContext) -> list[Diagnostic]:
             continue
         aliased = frozenset(_ALIASED_BASE | _ctor_container_attrs(node))
         frozen_view = _is_view_class(node, FROZEN_VIEW_CLASSES)
-        exempt = (
-            constructor_only_methods(node)
-            | _alternate_constructors(node)
-            | {"__init__"}
-        )
+        exempt = constructor_only_methods(node) | {"__init__"}
         for name, method in class_methods(node).items():
             if name in exempt:
                 continue

@@ -1,13 +1,13 @@
 """R7 — fork/worker safety in ``repro/exec/`` and driver pool sites.
 
-The process backend runs task runners in forked (or spawned) children.
-Two classes of bug survive every unit test run on the serial backend and
+A multi-worker pool runs task runners in forked (or spawned) children.
+Two classes of bug survive every unit test run on a serial pool and
 only corrupt results under real parallelism:
 
 * ``worker-shared-state`` — a task runner writing module-level mutable
   state (or resetting the metrics registry/operator counters).  In a
   forked child the write lands in the child's copy-on-write pages and
-  silently vanishes; on the thread backend it races.  The sanctioned
+  silently vanishes.  The sanctioned
   channel is the metrics-registry delta protocol: runners ``inc()``
   counters, the pool snapshots/subtracts and merges deltas in
   submission order.  Runner bodies are found through the ``TASK_KINDS``

@@ -231,10 +231,6 @@ _HELP_TEXTS: dict[str, str] = {
     "repro_pool_timeouts_total": "Pool task deadline expiries.",
     "repro_pool_crashes_total": "Pool worker crashes.",
     "repro_pool_workers": "Resolved worker count.",
-    "repro_cache_hits_total": "CP-6.1 result-cache hits.",
-    "repro_cache_misses_total": "CP-6.1 result-cache misses.",
-    "repro_cache_evictions_total": "CP-6.1 result-cache evictions.",
-    "repro_cache_invalidations_total": "CP-6.1 result-cache invalidations.",
     "repro_frozen_bytes": "Frozen-snapshot footprint per column family.",
     "repro_frozen_freezes_total": "Frozen snapshots built.",
     "repro_frozen_path_total": "Read tasks by snapshot serving path.",

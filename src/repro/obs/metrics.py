@@ -21,7 +21,7 @@ Like :mod:`repro.engine.stats`, the registry is process-global and
 always on — integer adds are cheap enough to leave unconditionally
 enabled, and (unlike the per-query operator counters, which the
 executor resets around every task) it is **never reset during a run**,
-so work done between queries (cache invalidation, write batches) keeps
+so work done between queries (write batches, compactions) keeps
 its counts.  Worker processes accumulate into their own copy; the
 executor ships per-task *deltas* back and merges them into the parent
 registry (:meth:`MetricsRegistry.merge_snapshot`).

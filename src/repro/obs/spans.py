@@ -268,8 +268,8 @@ def task_capture(name: str, **attrs: Any) -> Iterator[list[Span]]:
 
 def synthesize_task_span(name: str, duration_us: int,
                          **attrs: Any) -> Span:
-    """A task span built from outcome bookkeeping alone — what the
-    thread backend (which cannot capture safely) grafts instead."""
+    """A task span built from outcome bookkeeping alone — what the pool
+    grafts for a task whose tree never shipped (timeout, crash)."""
     return Span(
         name=name, kind="task", start_us=0, attrs=attrs,
         duration_us=max(0, duration_us),

@@ -108,43 +108,3 @@ class TestThroughputTest:
         batches = build_microbatches(small_net, include_deletes=False)[:10]
         throughput_test(graph, small_params, batches, reads_per_batch=0)
         assert graph.node_count() > before
-
-    def test_cached_run_matches_and_logs_stats(self, small_net, small_params):
-        from repro.graph.cache import CachedQueryExecutor
-
-        batches = build_microbatches(small_net)[:5]
-        plain_graph = SocialGraph.from_data(small_net, until=small_net.cutoff)
-        plain = throughput_test(
-            plain_graph, small_params, batches, reads_per_batch=4
-        )
-        assert plain.cache_stats == {}
-
-        cached_graph = SocialGraph.from_data(small_net, until=small_net.cutoff)
-        executor = CachedQueryExecutor(cached_graph)
-        cached = throughput_test(
-            cached_graph,
-            small_params,
-            batches,
-            reads_per_batch=4,
-            executor=executor,
-        )
-        assert cached.operations == plain.operations
-        stats = cached.cache_stats
-        assert stats["hits"] + stats["misses"] == 5 * 4
-        assert "hit_rate" in stats
-        assert "cache:" in cached.format_table()
-        # Both runs end with the same graph state (cache is read-only).
-        assert cached_graph.node_count() == plain_graph.node_count()
-
-    def test_cached_run_rejects_foreign_graph(self, small_net, small_params):
-        from repro.graph.cache import CachedQueryExecutor
-
-        graph = SocialGraph.from_data(small_net, until=small_net.cutoff)
-        other = SocialGraph.from_data(small_net, until=small_net.cutoff)
-        with pytest.raises(ValueError):
-            throughput_test(
-                graph,
-                small_params,
-                [],
-                executor=CachedQueryExecutor(other),
-            )

@@ -1,93 +1,11 @@
-"""Tests for the CP-6.1 result cache and the §6.3 durability/recovery."""
+"""Tests for the §6.3 durability/recovery and the §6.2 warmup phase."""
 
 import pytest
 
 from repro.datagen.delete_streams import build_delete_streams
 from repro.datagen.update_streams import build_update_streams
 from repro.driver.recovery import DurableSut, recover
-from repro.graph.cache import CachedQueryExecutor
 from repro.graph.store import SocialGraph
-from repro.queries.bi import bi6, bi12
-from repro.queries.interactive.complex import ic9
-from repro.queries.interactive.updates import AddFriendshipParams, iu8
-from repro.util.dates import make_date
-
-
-class TestCachedQueryExecutor:
-    @pytest.fixture
-    def executor(self, small_net):
-        return CachedQueryExecutor(SocialGraph.from_data(small_net))
-
-    def test_rejects_bad_capacity(self, small_net):
-        with pytest.raises(ValueError):
-            CachedQueryExecutor(SocialGraph.from_data(small_net), capacity=0)
-
-    def test_repeated_query_hits(self, executor):
-        params = (make_date(2012, 6, 1), 2)
-        first = executor.run("bi12", bi12, *params)
-        second = executor.run("bi12", bi12, *params)
-        assert first == second
-        assert executor.hits == 1 and executor.misses == 1
-        assert executor.hit_rate == 0.5
-
-    def test_different_params_miss(self, executor):
-        executor.run("bi12", bi12, make_date(2012, 6, 1), 2)
-        executor.run("bi12", bi12, make_date(2012, 6, 2), 2)
-        assert executor.hits == 0 and executor.misses == 2
-
-    def test_write_invalidates(self, executor):
-        graph = executor.graph
-        persons = sorted(graph.persons)
-        loner_pair = None
-        for a in persons:
-            for b in persons:
-                if a < b and b not in graph.friends_of(a):
-                    loner_pair = (a, b)
-                    break
-            if loner_pair:
-                break
-        start = loner_pair[0]
-        before = executor.run("ic9", ic9, start, make_date(2012, 6, 1))
-        executor.write(
-            iu8, AddFriendshipParams(*loner_pair, make_date(2012, 6, 1) * 86400000)
-        )
-        after = executor.run("ic9", ic9, start, make_date(2012, 6, 1))
-        assert executor.invalidations == 1
-        assert executor.misses == 2  # the post-write run recomputed
-
-    def test_results_match_uncached(self, executor, small_graph):
-        tag = small_graph.tags[0].name
-        assert executor.run("bi6", bi6, tag) == bi6(small_graph, tag)
-
-    def test_capacity_eviction(self, small_net):
-        executor = CachedQueryExecutor(
-            SocialGraph.from_data(small_net), capacity=2
-        )
-        for day in (1, 2, 3):
-            executor.run("bi12", bi12, make_date(2012, 6, day), 2)
-        # The first entry was evicted; re-running it misses again (and
-        # evicts the day-2 entry in turn).
-        executor.run("bi12", bi12, make_date(2012, 6, 1), 2)
-        assert executor.misses == 4
-        assert executor.evictions == 2
-        assert executor.invalidations == 0  # LRU drops aren't write drops
-
-    def test_eviction_accounting_at_capacity(self, small_net):
-        """The stats() snapshot the driver logs: entries never exceed
-        capacity and every overflow is tallied as an eviction."""
-        executor = CachedQueryExecutor(
-            SocialGraph.from_data(small_net), capacity=3
-        )
-        for day in range(1, 9):
-            executor.run("bi12", bi12, make_date(2012, 6, day), 2)
-        stats = executor.stats()
-        assert stats["entries"] == 3
-        assert stats["evictions"] == 5
-        assert stats["misses"] == 8 and stats["hits"] == 0
-        # A hit refreshes recency without touching the eviction counter.
-        executor.run("bi12", bi12, make_date(2012, 6, 8), 2)
-        assert executor.stats()["hits"] == 1
-        assert executor.stats()["evictions"] == 5
 
 
 class TestDurability:

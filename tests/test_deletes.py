@@ -301,16 +301,3 @@ class TestNoAliasingAcrossGraphs:
         assert graph_b.forums[group.id].moderator_id == moderator
         original = next(f for f in small_net.forums if f.id == group.id)
         assert original.moderator_id == moderator
-
-    def test_copy_is_independent(self, small_net):
-        from repro.graph.store import SocialGraph
-
-        graph = SocialGraph.from_data(small_net)
-        clone = graph.copy()
-        victim = next(iter(graph.persons))
-        clone.delete_person(victim)
-        assert victim in graph.persons
-        assert victim not in clone.persons
-        # The original graph is untouched by the clone's cascade.
-        assert len(graph.persons) == len(small_net.persons)
-        assert clone.node_count() < graph.node_count()

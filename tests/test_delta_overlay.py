@@ -365,9 +365,7 @@ class TestOverlayProcessFork:
             binding = tuple(params.bi(number, count=1)[0])
             tasks.append(Task(len(tasks), "bi", (number, binding)))
             expected.append(_run_query(ALL_QUERIES[number][0], live, binding))
-        pool = WorkerPool(
-            workers=2, backend="process", snapshot=InlineSnapshot(view)
-        )
+        pool = WorkerPool(workers=2, snapshot=InlineSnapshot(view))
         merged = pool.run(tasks)
         assert all(outcome.ok for outcome in merged.outcomes)
         assert [o.value for o in merged.outcomes] == expected

@@ -24,6 +24,13 @@ def driver_setup(small_net):
     return graph, updates, frequencies, parameters
 
 
+@pytest.fixture
+def fresh_graph(small_net):
+    """Factory for a new bulk graph sharing nothing with the fixture
+    graph (updates mutate it)."""
+    return lambda: SocialGraph.from_data(small_net, until=small_net.cutoff)
+
+
 class TestMix:
     def test_sf1_column_matches_table_3_1(self):
         assert FREQUENCIES[1.0] == {
@@ -117,20 +124,22 @@ class TestScheduler:
 
 
 class TestRunner:
-    def test_run_executes_everything(self, driver_setup):
+    def test_run_executes_everything(self, driver_setup, fresh_graph):
         graph, updates, frequencies, parameters = driver_setup
         # A fresh graph per run: updates mutate it.
         schedule = Scheduler(updates[:200], frequencies, parameters).build()
-        report = Driver(_fresh_graph(driver_setup), seed=7).run(schedule)
+        report = Driver(fresh_graph(), seed=7).run(schedule)
         names = {e.operation for e in report.log}
         assert any(name.startswith("IU") for name in names)
         assert any(name.startswith("IC") for name in names)
         assert any(name.startswith("IS") for name in names)
 
-    def test_short_sequences_follow_complex_reads(self, driver_setup):
+    def test_short_sequences_follow_complex_reads(
+        self, driver_setup, fresh_graph
+    ):
         graph, updates, frequencies, parameters = driver_setup
         schedule = Scheduler(updates[:300], frequencies, parameters).build()
-        report = Driver(_fresh_graph(driver_setup), seed=7).run(schedule)
+        report = Driver(fresh_graph(), seed=7).run(schedule)
         log = report.log
         for index, entry in enumerate(log):
             if entry.operation.startswith("IS"):
@@ -145,26 +154,26 @@ class TestRunner:
         else:
             pytest.fail("no short reads issued")
 
-    def test_deterministic_operation_sequence(self, driver_setup):
+    def test_deterministic_operation_sequence(self, driver_setup, fresh_graph):
         graph, updates, frequencies, parameters = driver_setup
         schedule = Scheduler(updates[:200], frequencies, parameters).build()
         ops1 = [
             e.operation
-            for e in Driver(_fresh_graph(driver_setup), seed=7).run(schedule).log
+            for e in Driver(fresh_graph(), seed=7).run(schedule).log
         ]
         ops2 = [
             e.operation
-            for e in Driver(_fresh_graph(driver_setup), seed=7).run(schedule).log
+            for e in Driver(fresh_graph(), seed=7).run(schedule).log
         ]
         assert ops1 == ops2
 
-    def test_tcr_paces_execution(self, driver_setup):
+    def test_tcr_paces_execution(self, driver_setup, fresh_graph):
         graph, updates, frequencies, parameters = driver_setup
         subset = updates[:20]
         span_sim_seconds = (subset[-1].timestamp - subset[0].timestamp) / 1000
         tcr = 0.05 / max(span_sim_seconds, 1e-9)  # ~50 ms of wall time
         schedule = Scheduler(subset, frequencies, parameters).build()
-        report = Driver(_fresh_graph(driver_setup), time_compression_ratio=tcr).run(
+        report = Driver(fresh_graph(), time_compression_ratio=tcr).run(
             schedule
         )
         assert report.wall_seconds >= 0.04
@@ -220,8 +229,3 @@ class TestReport:
         report = DriverReport(log=[], wall_seconds=0.5)
         assert report.on_time_fraction() == 1.0
         assert report.total_operations == 0
-
-
-def _fresh_graph(driver_setup):
-    """A new bulk graph sharing nothing with the fixture graph."""
-    return driver_setup[0].copy()

@@ -343,15 +343,6 @@ class TestChokePointMapping:
         for name, cp in OPERATOR_COUNTER_CPS.items():
             assert cp in known, f"{name} -> unknown CP {cp}"
 
-    def test_cache_counters_mapped(self):
-        for name in (
-            "cache_hits",
-            "cache_misses",
-            "cache_invalidations",
-            "cache_evictions",
-        ):
-            assert counter_choke_point(name).identifier == "6.1"
-
     def test_counter_choke_point_rejects_unknown(self):
         with pytest.raises(KeyError):
             counter_choke_point("not_a_counter")

@@ -1,7 +1,7 @@
 """Tests for the process-parallel executor (``repro.exec``).
 
-Covers the pool contract the benchmark relies on: all three backends
-return identical merged results, the work queue is bounded, failures
+Covers the pool contract the benchmark relies on: serial and process
+pools return identical merged results, the work queue is bounded, failures
 follow retry-once-then-record, deadlines and worker crashes are
 survived, and per-task engine counters merge deterministically.
 """
@@ -30,8 +30,9 @@ from repro.exec import (
     resolve_workers,
     run_task,
 )
+from repro.graph.store import SocialGraph
 
-# -- module-level task payloads (picklable for the process backend) --------
+# -- module-level task payloads (picklable for process workers) ------------
 
 
 def _double(x):
@@ -55,6 +56,13 @@ def _sleep_return(seconds, value):
     return value
 
 
+def _touch(path):
+    time.sleep(0.002)
+    with open(path, "w"):
+        pass
+    return int(os.path.basename(path))
+
+
 def _crash_until_marker(marker):
     if not os.path.exists(marker):
         with open(marker, "w"):
@@ -65,6 +73,10 @@ def _crash_until_marker(marker):
 
 def _crash_always():
     os._exit(13)
+
+
+def _person_count():
+    return len(active().graph.persons)
 
 
 def _context_tag(graph, context):
@@ -107,8 +119,8 @@ class TestResolveWorkers:
     def test_invalid_counts_rejected(self):
         with pytest.raises(ValueError):
             resolve_workers(0)
-        with pytest.raises(ValueError):
-            WorkerPool(workers=2, backend="rayon")
+        with pytest.raises(TypeError):  # derived from workers, not an option
+            WorkerPool(workers=2, backend="thread")
         with pytest.raises(ValueError):
             WorkerPool(workers=2, timeout=0)
         with pytest.raises(ValueError):
@@ -142,15 +154,15 @@ class TestSnapshot:
             run_task(Task(0, "no-such-kind"))
 
 
-# -- backend equivalence ----------------------------------------------------
+# -- serial / process equivalence -------------------------------------------
 
 
 class TestBackends:
     @pytest.mark.parametrize("backend,workers", [
-        ("serial", 1), ("thread", 3), ("process", 3),
+        ("serial", 1), ("process", 3),
     ])
     def test_values_merge_in_submission_order(self, backend, workers):
-        pool = WorkerPool(workers=workers, backend=backend)
+        pool = WorkerPool(workers=workers)
         result = pool.run(
             _call_tasks([(_double, i) for i in range(17)])
         )
@@ -160,12 +172,11 @@ class TestBackends:
         assert result.backend == backend
 
     def test_workers_one_forces_serial(self):
-        assert WorkerPool(workers=1, backend="process").backend == "serial"
         assert WorkerPool(workers=1).backend == "serial"
         assert WorkerPool(workers=4).backend == "process"
 
     def test_generator_input_with_small_queue_depth(self):
-        pool = WorkerPool(workers=2, backend="process", queue_depth=1)
+        pool = WorkerPool(workers=2, queue_depth=1)
         result = pool.run(
             Task(i, "call", (_double, (i,))) for i in range(12)
         )
@@ -174,33 +185,40 @@ class TestBackends:
     def test_snapshot_context_reaches_process_workers(self):
         pool = WorkerPool(
             workers=2,
-            backend="process",
             snapshot=InlineSnapshot(context={"tag": "shipped"}),
         )
         result = pool.run([Task(0, "context_tag"), Task(1, "context_tag")])
         assert result.values() == ["shipped", "shipped"]
 
-    def test_bounded_queue_limits_lookahead(self):
-        done: list[int] = []
-        pulled: list[int] = []
+    def test_each_pool_forks_after_the_writes_before_it(self, tiny_net):
+        """What lets the drivers interleave writes with process read
+        blocks: workers see the graph as of their pool's ``run``."""
+        graph = SocialGraph.from_data(tiny_net)
+        tasks = _call_tasks([(_person_count,), (_person_count,)])
+        persons = len(graph.persons)
+        snapshot = InlineSnapshot(graph)
+        assert WorkerPool(workers=2, snapshot=snapshot).run(
+            tasks
+        ).values() == [persons, persons]
+        graph.delete_person(next(iter(graph.persons)))
+        assert WorkerPool(workers=2, snapshot=snapshot).run(
+            tasks
+        ).values() == [persons - 1, persons - 1]
 
-        def work(i):
-            time.sleep(0.002)
-            done.append(i)
-            return i
+    def test_bounded_queue_limits_lookahead(self, tmp_path):
+        pulled: list[int] = []
 
         def generate():
             for i in range(20):
                 pulled.append(i)
                 # pulled-but-unfinished tasks never exceed the bound:
-                # queue_depth waiting + workers executing + one in-flight
-                # put by the feeding thread.
-                assert len(pulled) - len(done) <= 2 + 2 + 1
-                yield Task(i, "call", (work, (i,)))
+                # queue_depth waiting + workers executing.
+                assert len(pulled) - len(os.listdir(tmp_path)) <= 2 + 2
+                yield Task(i, "call", (_touch, (str(tmp_path / str(i)),)))
 
-        pool = WorkerPool(workers=2, backend="thread", queue_depth=2)
-        result = pool.run(generate())
+        result = WorkerPool(workers=2, queue_depth=2).run(generate())
         assert result.values() == list(range(20))
+        assert result.failures == 0
 
     def test_stats_dict_surface(self):
         result = WorkerPool(workers=1).run(_call_tasks([(_double, 3)]))
@@ -221,12 +239,12 @@ class TestBackends:
 
 class TestRetry:
     @pytest.mark.parametrize("backend,workers", [
-        ("serial", 1), ("thread", 2), ("process", 2),
+        ("serial", 1), ("process", 2),
     ])
     def test_persistent_error_recorded_after_one_retry(
         self, backend, workers
     ):
-        pool = WorkerPool(workers=workers, backend=backend)
+        pool = WorkerPool(workers=workers)
         result = pool.run(_call_tasks([(_fail_always,), (_double, 4)]))
         failed, succeeded = result.outcomes
         assert failed.status == STATUS_ERROR
@@ -243,7 +261,7 @@ class TestRetry:
         self, backend, workers, tmp_path
     ):
         marker = str(tmp_path / f"fail-once-{backend}")
-        pool = WorkerPool(workers=workers, backend=backend)
+        pool = WorkerPool(workers=workers)
         result = pool.run(_call_tasks([(_fail_until_marker, marker)]))
         (outcome,) = result.outcomes
         assert outcome.status == STATUS_OK
@@ -258,7 +276,7 @@ class TestRetry:
 
 class TestDeadlines:
     def test_process_hard_timeout_kills_worker(self):
-        pool = WorkerPool(workers=2, backend="process", timeout=0.25)
+        pool = WorkerPool(workers=2, timeout=0.25)
         started = time.perf_counter()
         result = pool.run(
             _call_tasks([(_sleep_return, 30.0, "late"), (_double, 5)])
@@ -289,7 +307,7 @@ class TestDeadlines:
 class TestCrashRecovery:
     def test_crash_once_recovers(self, tmp_path):
         marker = str(tmp_path / "crash-once")
-        pool = WorkerPool(workers=2, backend="process")
+        pool = WorkerPool(workers=2)
         result = pool.run(
             _call_tasks([(_crash_until_marker, marker), (_double, 6)])
         )
@@ -302,7 +320,7 @@ class TestCrashRecovery:
         assert result.failures == 0
 
     def test_persistent_crash_recorded(self):
-        pool = WorkerPool(workers=2, backend="process")
+        pool = WorkerPool(workers=2)
         result = pool.run(_call_tasks([(_crash_always,), (_double, 7)]))
         crashed, other = result.outcomes
         assert crashed.status == STATUS_CRASHED
@@ -334,9 +352,7 @@ class TestCounters:
         ]
         snapshot = InlineSnapshot(small_graph)
         serial = WorkerPool(workers=1, snapshot=snapshot).run(tasks)
-        parallel = WorkerPool(
-            workers=3, backend="process", snapshot=snapshot
-        ).run(tasks)
+        parallel = WorkerPool(workers=3, snapshot=snapshot).run(tasks)
         assert serial.values() == parallel.values()
         assert [o.counters for o in serial.outcomes] == [
             o.counters for o in parallel.outcomes

@@ -149,11 +149,7 @@ class TestForkSharing:
         previous = activate(InlineSnapshot(frozen))
         try:
             parent_digest, parent_pid = _snapshot_digest()
-            pool = WorkerPool(
-                workers=2,
-                backend="process",
-                snapshot=InlineSnapshot(frozen),
-            )
+            pool = WorkerPool(workers=2, snapshot=InlineSnapshot(frozen))
             tasks = [
                 Task(i, "call", (_snapshot_digest, ())) for i in range(6)
             ]
@@ -164,5 +160,4 @@ class TestForkSharing:
         digests = {digest for digest, _ in (o.value for o in merged.outcomes)}
         pids = {pid for _, pid in (o.value for o in merged.outcomes)}
         assert digests == {parent_digest}
-        if pool.backend == "process":  # fork available on this platform
-            assert parent_pid not in pids
+        assert parent_pid not in pids

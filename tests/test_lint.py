@@ -520,22 +520,6 @@ class TestR6SnapshotAliasing:
         )
         assert lint_source(GRAPH_PATH, src) == []
 
-    def test_alternate_constructor_exempt(self):
-        # A classmethod building a fresh instance via cls.__new__(cls)
-        # (the worker-side snapshot rebuild) populates an instance no
-        # other view aliases yet — same standing as __init__.
-        src = (
-            "class FrozenGraph:\n"
-            "    def __init__(self, source):\n"
-            "        self._post_objs = list(source.posts.values())\n\n"
-            "    @classmethod\n"
-            "    def _rebuilt(cls, store):\n"
-            "        graph = cls.__new__(cls)\n"
-            "        graph._post_objs = list(store.posts.values())\n"
-            "        return graph\n"
-        )
-        assert lint_source(GRAPH_PATH, src) == []
-
     def test_same_object_write_back_allowed(self):
         src = (
             "class SocialGraph:\n"

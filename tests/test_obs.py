@@ -1,16 +1,13 @@
 """Tests for the observability layer (``repro.obs``).
 
-Four layers:
+Three layers:
 
 * unit tests per module — the span tree (both creation styles, the
   fork-boundary capture/graft cycle), the metrics registry (fixed-bucket
   merge algebra, the delta shipping format) and the exporters;
-* the cache reset-discipline regression — CP-6.1 counters land in the
-  never-reset registry, so they survive the executor's per-task
-  operator-counter resets;
 * differential telemetry — the executor's deterministic-merge guarantee
   extended to telemetry: ``structure_of(telemetry)`` is identical across
-  worker counts and backends, including the retry / timeout / crash
+  worker counts, including the retry / timeout / crash
   paths;
 * the disabled path — with tracing off (the default), runs produce
   byte-identical results to a traced run and leave no spans behind.
@@ -28,8 +25,6 @@ from repro.core.api import SocialNetworkBenchmark
 from repro.core.run import RunRequest
 from repro.driver.bi_driver import power_test
 from repro.exec import STATUS_CRASHED, STATUS_OK, STATUS_TIMEOUT, Task, WorkerPool
-from repro.graph.cache import CachedQueryExecutor
-from repro.graph.store import SocialGraph
 from repro.obs import (
     LATENCY_BUCKETS_SECONDS,
     TELEMETRY_VERSION,
@@ -41,7 +36,6 @@ from repro.obs import (
     disable_tracing,
     enable_tracing,
     graft_outcomes,
-    registry,
     reset_registry,
     set_tracer,
     span,
@@ -73,7 +67,7 @@ def small_bench():
     return SocialNetworkBenchmark.generate(num_persons=100, seed=42)
 
 
-# -- module-level task payloads (picklable for the process backend) --------
+# -- module-level task payloads (picklable for process workers) ------------
 
 
 def _double(x):
@@ -256,13 +250,13 @@ class TestMetrics:
 
     def test_subtract_snapshot_ships_only_deltas(self):
         reg = MetricsRegistry()
-        reg.counter("repro_cache_hits_total").inc(5)
-        reg.counter("repro_cache_misses_total").inc(1)
+        reg.counter("repro_pool_retries_total").inc(5)
+        reg.counter("repro_pool_timeouts_total").inc(1)
         before = reg.snapshot()
-        reg.counter("repro_cache_hits_total").inc(2)
+        reg.counter("repro_pool_retries_total").inc(2)
         reg.histogram("repro_task_seconds").observe(0.05)
         delta = subtract_snapshot(reg.snapshot(), before)
-        assert delta["counters"] == {"repro_cache_hits_total": 2}
+        assert delta["counters"] == {"repro_pool_retries_total": 2}
         assert list(delta["histograms"]) == ["repro_task_seconds"]
         assert delta["histograms"]["repro_task_seconds"]["count"] == 1
 
@@ -332,7 +326,7 @@ def _sample_document():
     root.duration_us = 90
     trace.roots.append(root)
     metrics = MetricsRegistry()
-    metrics.counter("repro_cache_hits_total").inc(2)
+    metrics.counter("repro_pool_retries_total").inc(2)
     metrics.gauge("repro_pool_workers").set(2)
     metrics.histogram("repro_query_seconds", query="bi1").observe(0.004)
     return telemetry_document(
@@ -357,7 +351,7 @@ class TestExporters:
             ["bi:power", "run", [["bi[0]", "task",
                                   [["scan_messages", "operator", []]]]]]
         ]
-        assert skeleton["counters"] == ["repro_cache_hits_total"]
+        assert skeleton["counters"] == ["repro_pool_retries_total"]
         assert skeleton["histograms"] == {
             'repro_query_seconds{query="bi1"}': list(LATENCY_BUCKETS_SECONDS)
         }
@@ -379,8 +373,8 @@ class TestExporters:
 
     def test_prometheus_exposition(self):
         text = to_prometheus(_sample_document()["metrics"])
-        assert "# TYPE repro_cache_hits_total counter" in text
-        assert "repro_cache_hits_total 2" in text
+        assert "# TYPE repro_pool_retries_total counter" in text
+        assert "repro_pool_retries_total 2" in text
         assert "# TYPE repro_pool_workers gauge" in text
         assert "# TYPE repro_query_seconds histogram" in text
         assert 'repro_query_seconds_bucket{query="bi1",le="+Inf"} 1' in text
@@ -394,7 +388,7 @@ class TestExporters:
         lines = text.splitlines()
         # Every series family gets a HELP line immediately before its
         # TYPE line, as the exposition format specifies.
-        for family in ("repro_cache_hits_total", "repro_pool_workers",
+        for family in ("repro_pool_retries_total", "repro_pool_workers",
                        "repro_query_seconds"):
             help_index = lines.index(next(
                 line for line in lines
@@ -419,49 +413,6 @@ class TestExporters:
             line.startswith("#") or " " in line
             for line in text.splitlines() if line
         )
-
-
-# ---------------------------------------------------------------------------
-# Cache counters: the reset-discipline regression
-# ---------------------------------------------------------------------------
-
-
-def _count_rows(graph):
-    return [1]
-
-
-class TestCacheRegistryCounters:
-    def test_cache_counters_survive_registry_independent_resets(self):
-        """CP-6.1 accounting lives in the never-reset registry: counts
-        accumulate across cache instances and cache invalidations —
-        exactly what the per-task operator-counter resets destroyed."""
-        reset_registry()
-        try:
-            first = CachedQueryExecutor(SocialGraph())
-            first.run("q", _count_rows)
-            first.run("q", _count_rows)
-            first.invalidate()
-            # A brand-new executor (new per-instance attributes) keeps
-            # accumulating into the same global series.
-            second = CachedQueryExecutor(first.graph)
-            second.run("q", _count_rows)
-            counters = registry().snapshot()["counters"]
-            assert counters["repro_cache_hits_total"] == 1
-            assert counters["repro_cache_misses_total"] == 2
-            assert counters["repro_cache_invalidations_total"] == 1
-        finally:
-            reset_registry()
-
-    def test_instance_stats_still_per_executor(self):
-        reset_registry()
-        try:
-            cache = CachedQueryExecutor(SocialGraph())
-            cache.run("q", _count_rows)
-            cache.run("q", _count_rows)
-            assert cache.stats()["hits"] == 1
-            assert cache.stats()["misses"] == 1
-        finally:
-            reset_registry()
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +485,7 @@ class TestTelemetryParity:
     def test_retry_timeout_crash_paths_are_structure_stable(self, tmp_path):
         """Failure tasks synthesize/capture the same task-span skeleton
         whatever the worker count (process x2 vs x4 — ``workers=1``
-        would fall back to the serial backend)."""
+        would run serially, with soft deadlines and no crashes)."""
         def run_with(workers, label):
             marker = str(tmp_path / f"retry-{label}")
             tasks = _call_tasks([
@@ -543,7 +494,7 @@ class TestTelemetryParity:
                 (_sleep_return, 30.0, "late"),
                 (_crash_always,),
             ])
-            pool = WorkerPool(workers=workers, backend="process", timeout=0.5)
+            pool = WorkerPool(workers=workers, timeout=0.5)
             return _traced(lambda: pool.run(tasks))
 
         result_2, doc_2 = run_with(2, "two")
@@ -566,7 +517,7 @@ class TestTelemetryParity:
 
     def test_pool_metrics_series_exist_whatever_the_outcome(self, tmp_path):
         _, document = _traced(
-            lambda: WorkerPool(workers=2, backend="process").run(
+            lambda: WorkerPool(workers=2).run(
                 _call_tasks([(_double, 1), (_double, 2)])
             )
         )

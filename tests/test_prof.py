@@ -278,10 +278,7 @@ def _pool_profile(workers: int) -> dict:
     reset_registry()
     enable_profiling(hz=250.0)
     try:
-        pool = WorkerPool(
-            workers=workers,
-            backend="process" if workers > 1 else "serial",
-        )
+        pool = WorkerPool(workers=workers)
         result = pool.run(
             Task(index, "call", (_spin, (0.12,))) for index in range(4)
         )

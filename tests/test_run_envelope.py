@@ -28,7 +28,9 @@ from repro.driver.bi_driver import (
     throughput_test,
 )
 from repro.driver.runner import DriverReport
+from repro.exec import ENV_START_METHOD
 from repro.graph.store import SocialGraph
+from repro.obs.metrics import registry, subtract_snapshot
 
 #: Every report class a run surface can return.
 REPORT_CLASSES = (
@@ -168,23 +170,47 @@ class TestSerialParallelDifferential:
         assert serial.total_queries == parallel.total_queries
 
     def test_throughput_test(self, tiny_net):
+        self._throughput_differential(tiny_net, workers=4)
+
+    def test_throughput_test_spawn(self, tiny_net, monkeypatch):
+        """Spawned workers get each block's overlaid view by value —
+        two microbatches, because every block re-ships it."""
+        monkeypatch.setenv(ENV_START_METHOD, "spawn")
+        self._throughput_differential(tiny_net, workers=2, batches=2)
+
+    def _throughput_differential(self, tiny_net, workers, batches=None):
         def outcome(workers):
             graph = SocialGraph.from_data(tiny_net, until=tiny_net.cutoff)
             params = SocialNetworkBenchmark(tiny_net).params
-            return throughput_test(
+            before = registry().snapshot()
+            result = throughput_test(
                 graph,
                 params,
-                build_microbatches(tiny_net),
+                build_microbatches(tiny_net)[:batches],
                 reads_per_batch=2,
                 workers=workers,
             )
+            delta = subtract_snapshot(registry().snapshot(), before)
+            return result, {
+                series: count
+                for series, count in delta["counters"].items()
+                if series.startswith(
+                    ("repro_frozen_path_total", "repro_tasks_total")
+                )
+            }
 
-        serial, parallel = outcome(1), outcome(4)
+        (serial, serial_paths), (parallel, parallel_paths) = (
+            outcome(1), outcome(workers)
+        )
         assert serial.operations == parallel.operations
         assert len(serial.batch_seconds) == len(parallel.batch_seconds)
         assert serial.exec_stats["failures"] == 0
         assert parallel.exec_stats["failures"] == 0
-        assert parallel.exec_stats["backend"] == "thread"
+        assert serial.exec_stats["backend"] == "serial"
+        assert parallel.exec_stats["backend"] == "process"
+        # Process workers ship registry deltas: every block, forked after
+        # its writes, read the post-write view through the same path.
+        assert serial_paths and serial_paths == parallel_paths
 
     def test_interactive_driver(self, tiny_net):
         def log_content(workers):

@@ -6,7 +6,7 @@ install:
 	pip install -e .
 
 test:
-	pytest tests/
+	PYTHONPATH=src pytest tests/
 
 lint:  ## benchmark-invariant checker + (if installed) strict typing
 	PYTHONPATH=src python -m repro.lint src
@@ -22,11 +22,11 @@ lint-flow:  ## dataflow rules (R6/R7) + dead-waiver audit
 	PYTHONPATH=src python -m repro.lint src --audit-suppressions
 
 bench:
-	pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src pytest benchmarks/ --benchmark-only
 
 # bench-smoke also records machine-readable BENCH_*.json under out/bench/.
 bench-smoke:  ## quick executor sanity: parallel == serial, then q/s
-	REPRO_BENCH_OUT=out/bench \
+	PYTHONPATH=src REPRO_BENCH_OUT=out/bench \
 		pytest benchmarks/test_driver_throughput.py \
 		benchmarks/test_frozen_snapshot.py \
 		benchmarks/test_delta_overlay.py \
@@ -35,17 +35,17 @@ bench-smoke:  ## quick executor sanity: parallel == serial, then q/s
 		-s --benchmark-disable
 
 bench-parallel:  ## morsel-parallel scan smoke: rows identical, records speedup
-	REPRO_BENCH_OUT=out/bench \
+	PYTHONPATH=src REPRO_BENCH_OUT=out/bench \
 		pytest benchmarks/test_morsel_scan.py -s --benchmark-disable
 
 bench-ledger:  ## the tracked four-workload ledger at smoke size (< 30 s)
 	python3 bench/ledger.py --smoke
 
 bench-compare:  ## diff freshest BENCH_*.json vs the previous archived run
-	python benchmarks/bench_compare.py
+	PYTHONPATH=src python benchmarks/bench_compare.py
 
 bench-tables:  ## print every reproduced table/figure with assertions
-	pytest benchmarks/ -s --benchmark-disable
+	PYTHONPATH=src pytest benchmarks/ -s --benchmark-disable
 
 examples:
 	python examples/quickstart.py

@@ -15,6 +15,14 @@ import sys
 from dataclasses import dataclass, field
 
 from repro.driver.runner import DriverReport
+from repro.util.alloc import PAUSED_PHASES
+
+#: The SUT tuning the store applies to itself, disclosed per spec §6.
+COLLECTOR_TUNING = (
+    "cyclic garbage collector paused during "
+    + ", ".join(PAUSED_PHASES)
+    + "; data generation (datagen generate) runs with it enabled"
+)
 
 
 @dataclass
@@ -61,13 +69,15 @@ class SystemDetails:
     os_version: str = field(default_factory=platform.release)
     python_version: str = field(default_factory=lambda: sys.version.split()[0])
     cpu: str = field(default_factory=platform.machine)
+    tuning: str = COLLECTOR_TUNING
 
     def format(self) -> str:
         return (
             f"DBMS: {self.dbms} {self.dbms_version}\n"
             f"OS: {self.os_name} {self.os_version}\n"
             f"Python: {self.python_version}\n"
-            f"CPU architecture: {self.cpu}"
+            f"CPU architecture: {self.cpu}\n"
+            f"SUT tuning: {self.tuning}"
         )
 
 

@@ -29,6 +29,7 @@ from repro.datagen.update_streams import UpdateOperation
 from repro.graph.store import SocialGraph
 from repro.queries.interactive.deletes import ALL_DELETES
 from repro.queries.interactive.updates import ALL_UPDATES
+from repro.util.alloc import collector_paused
 
 WriteOperation = Union[UpdateOperation, DeleteOperation]
 
@@ -78,7 +79,11 @@ class DurableSut:
         # A fresh WAL: the initial checkpoint covers the loaded state.
         self._wal = open(self.wal_path, "w")
         self._writes = 0
-        self.checkpoint()
+        try:
+            self.checkpoint()
+        except BaseException:
+            self._wal.close()
+            raise
 
     def apply(self, op: WriteOperation) -> None:
         """Commit one write: WAL first (flushed), then apply."""
@@ -95,7 +100,7 @@ class DurableSut:
         """Snapshot the current state and record the WAL position."""
         if self.graph is None:
             raise RuntimeError("SUT has crashed; recover first")
-        with open(self.checkpoint_path, "wb") as handle:
+        with open(self.checkpoint_path, "wb") as handle, collector_paused():
             pickle.dump(self.graph, handle)
         self.meta_path.write_text(str(self._writes))
         return Checkpoint(self._writes, self.checkpoint_path)
@@ -122,7 +127,8 @@ def recover(directory: Path | str) -> tuple[SocialGraph, int]:
     crash.
     """
     directory = Path(directory)
-    with open(directory / "checkpoint.pickle", "rb") as handle:
+    checkpoint = directory / "checkpoint.pickle"
+    with open(checkpoint, "rb") as handle, collector_paused():
         graph: SocialGraph = pickle.load(handle)
     covered = int((directory / "checkpoint.meta").read_text())
     replayed = 0

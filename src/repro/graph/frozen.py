@@ -68,6 +68,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.graph.delta import DeltaOverlay
 from repro.obs.metrics import registry
 from repro.schema.entities import Comment, Message, Post
+from repro.util.alloc import collector_paused
 from repro.util.dates import DateTime
 
 __all__ = [
@@ -192,6 +193,7 @@ class FrozenGraph(SocialGraph):
     _person_gender: StringColumn
     _person_browser: StringColumn
 
+    @collector_paused()
     def __init__(self, source: SocialGraph):
         if isinstance(source, FrozenGraph):
             raise TypeError("cannot freeze a FrozenGraph; freeze the live store")
@@ -201,6 +203,7 @@ class FrozenGraph(SocialGraph):
         self._derive_lookups()
 
     @classmethod
+    @collector_paused()
     def _rebuilt(
         cls,
         store: SocialGraph,

@@ -74,6 +74,7 @@ from repro.schema.entities import (
     TagClass,
 )
 from repro.schema.relations import HasMember, Knows, Likes, StudyAt, WorkAt
+from repro.util.alloc import collector_paused
 
 __all__ = [
     "MAGIC",
@@ -167,6 +168,7 @@ def _sections(graph: FrozenGraph) -> Iterator[tuple[str, array]]:
         yield from _keyed_sections(attr, getattr(graph, attr))
 
 
+@collector_paused()
 def _entity_payload(graph: FrozenGraph, overlay: Any = None) -> bytes:
     """The ``__entities__`` section: every entity/relation row as a
     compact JSON document, listed in :func:`rebuild_store`'s replay
@@ -277,9 +279,15 @@ def rebuild_store(data: Any) -> SocialGraph:
     ``SocialGraph.from_data`` order (dimension tables, persons,
     person relations, forums, memberships, messages, likes) — so every
     secondary index is rebuilt by the same code path that built the
-    parent's, and a shipped overlay can keep replaying writes on top."""
-    payload = json.loads(bytes(data))
+    parent's, and a shipped overlay can keep replaying writes on top.
+    Parse and replay run inside the store's insert-only bulk scope."""
     graph = SocialGraph()
+    with graph._bulk_insert():
+        _replay(graph, json.loads(bytes(data)))
+    return graph
+
+
+def _replay(graph: SocialGraph, payload: dict[str, Any]) -> None:
     for row in payload["places"]:
         graph.add_place(
             Place(row[0], row[1], row[2], PlaceType(row[3]), row[4])
@@ -314,7 +322,6 @@ def rebuild_store(data: Any) -> SocialGraph:
         graph.add_comment(Comment(*row))
     for row in payload["likes"]:
         graph.add_like(Likes(*row))
-    return graph
 
 
 def write_snapshot(

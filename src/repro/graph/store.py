@@ -26,6 +26,7 @@ from __future__ import annotations
 import copy
 from bisect import bisect_left, insort
 from collections import defaultdict
+from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.schema.entities import (
@@ -42,6 +43,7 @@ from repro.schema.entities import (
     TagClass,
 )
 from repro.schema.relations import HasMember, Knows, Likes, StudyAt, WorkAt
+from repro.util.alloc import collector_paused
 from repro.util.dates import DateTime, month_bucket
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -95,6 +97,67 @@ def _swap_remove(table, pos_map, key, key_of, item) -> None:
     moved_positions[moved_positions.index(last)] = position
 
 
+def _load(
+    graph: "SocialGraph", net: "SocialNetworkData", until: DateTime | None
+) -> None:
+    """Insert ``net``'s rows up to ``until`` — :meth:`SocialGraph.from_data`."""
+    for place in net.places:
+        graph.add_place(place)
+    for organisation in net.organisations:
+        graph.add_organisation(organisation)
+    for tag_class in net.tag_classes:
+        graph.add_tag_class(tag_class)
+    for tag in net.tags:
+        graph.add_tag(tag)
+
+    def included(creation: DateTime) -> bool:
+        return until is None or creation < until
+
+    person_ok = set()
+    for person in net.persons:
+        if included(person.creation_date):
+            graph.add_person(person)
+            person_ok.add(person.id)
+    for record in net.study_at:
+        if record.person_id in person_ok:
+            graph.add_study_at(record)
+    for record in net.work_at:
+        if record.person_id in person_ok:
+            graph.add_work_at(record)
+    for edge in net.knows:
+        if included(edge.creation_date):
+            graph.add_knows(edge)
+    forum_ok = set()
+    for forum in net.forums:
+        if included(forum.creation_date):
+            # Forums are the one entity the store mutates in place
+            # (a group's moderator is detached when the moderator is
+            # deleted), so each graph gets its own copy — deleting in
+            # one graph must not alter the network or sibling graphs.
+            graph.add_forum(copy.copy(forum))
+            forum_ok.add(forum.id)
+    for membership in net.memberships:
+        if included(membership.join_date) and membership.forum_id in forum_ok:
+            graph.add_membership(membership)
+    message_ok = set()
+    for post in net.posts:
+        if included(post.creation_date):
+            graph.add_post(post)
+            message_ok.add(post.id)
+    for comment in net.comments:
+        parent = (
+            comment.reply_of_post
+            if comment.reply_of_post >= 0
+            else comment.reply_of_comment
+        )
+        if included(comment.creation_date) and parent in message_ok:
+            graph.add_comment(comment)
+            message_ok.add(comment.id)
+    for like in net.likes:
+        if included(like.creation_date) and like.message_id in message_ok:
+            graph.add_like(like)
+
+
 class SocialGraph:
     """The loaded social network plus its adjacency indexes.
 
@@ -124,6 +187,10 @@ class SocialGraph:
     #: ``True`` only on :class:`repro.graph.frozen.FrozenGraph` — lets
     #: the engine pick columnar fast paths with one attribute check.
     is_frozen: bool = False
+
+    #: ``True`` only inside :meth:`_bulk_insert`, as an instance
+    #: attribute deleted on exit — pickles and frozen views never see it.
+    _bulk: bool = False
 
     def __init__(
         self,
@@ -249,6 +316,34 @@ class SocialGraph:
     # Loading
     # ------------------------------------------------------------------
 
+    @contextmanager
+    def _bulk_insert(self) -> Iterator[None]:
+        """The insert-only scope of a bulk load (:meth:`from_data`,
+        :func:`repro.graph.snapfile.rebuild_store`).
+
+        Inside it the cyclic collector is paused (every row allocated
+        survives — see :mod:`repro.util.alloc`), the two sorted posting
+        families (``_messages_with_tag``, ``_forum_posts_by_date``)
+        append instead of ``insort``-ing, and every delete raises.  On
+        exit — also when the body raises — each posting list is sorted
+        once.  Entries are unique ``(creationDate, id)`` pairs, so the
+        lists come out identical to the ``insort``-built ones.
+        """
+        self._bulk = True
+        with collector_paused():
+            try:
+                yield
+            finally:
+                del self._bulk
+                for family in (self._messages_with_tag,
+                               self._forum_posts_by_date):
+                    for postings in family.values():
+                        postings.sort()
+
+    def _refuse_in_bulk(self, op: str) -> None:
+        if self._bulk:
+            raise RuntimeError(f"{op}() inside an insert-only bulk load")
+
     @classmethod
     def from_data(
         cls,
@@ -265,68 +360,16 @@ class SocialGraph:
         are causally ordered (an entity is always created after
         everything it references), so a time-prefix is referentially
         consistent — this realizes the spec's 90 % bulk-load dataset
-        when ``until`` is the update cutoff.
+        when ``until`` is the update cutoff.  Runs inside
+        :meth:`_bulk_insert`.
         """
         graph = cls(
             use_indexes=use_indexes,
             use_date_index=use_date_index,
             use_tag_index=use_tag_index,
         )
-        for place in net.places:
-            graph.add_place(place)
-        for organisation in net.organisations:
-            graph.add_organisation(organisation)
-        for tag_class in net.tag_classes:
-            graph.add_tag_class(tag_class)
-        for tag in net.tags:
-            graph.add_tag(tag)
-
-        def included(creation: DateTime) -> bool:
-            return until is None or creation < until
-
-        person_ok = set()
-        for person in net.persons:
-            if included(person.creation_date):
-                graph.add_person(person)
-                person_ok.add(person.id)
-        for record in net.study_at:
-            if record.person_id in person_ok:
-                graph.add_study_at(record)
-        for record in net.work_at:
-            if record.person_id in person_ok:
-                graph.add_work_at(record)
-        for edge in net.knows:
-            if included(edge.creation_date):
-                graph.add_knows(edge)
-        forum_ok = set()
-        for forum in net.forums:
-            if included(forum.creation_date):
-                # Forums are the one entity the store mutates in place
-                # (a group's moderator is detached when the moderator is
-                # deleted), so each graph gets its own copy — deleting in
-                # one graph must not alter the network or sibling graphs.
-                graph.add_forum(copy.copy(forum))
-                forum_ok.add(forum.id)
-        for membership in net.memberships:
-            if included(membership.join_date) and membership.forum_id in forum_ok:
-                graph.add_membership(membership)
-        message_ok = set()
-        for post in net.posts:
-            if included(post.creation_date):
-                graph.add_post(post)
-                message_ok.add(post.id)
-        for comment in net.comments:
-            parent = (
-                comment.reply_of_post
-                if comment.reply_of_post >= 0
-                else comment.reply_of_comment
-            )
-            if included(comment.creation_date) and parent in message_ok:
-                graph.add_comment(comment)
-                message_ok.add(comment.id)
-        for like in net.likes:
-            if included(like.creation_date) and like.message_id in message_ok:
-                graph.add_like(like)
+        with graph._bulk_insert():
+            _load(graph, net, until)
         return graph
 
     # ------------------------------------------------------------------
@@ -430,8 +473,9 @@ class SocialGraph:
     def _index_message(self, message: Message) -> None:
         """Maintain the secondary indexes for a new Post or Comment."""
         entry = (message.creation_date, message.id)
+        place = list.append if self._bulk else insort
         for tag_id in message.tag_ids:
-            insort(self._messages_with_tag[tag_id], entry)
+            place(self._messages_with_tag[tag_id], entry)
         by_month = (
             self._comments_by_month
             if message.is_comment
@@ -463,8 +507,9 @@ class SocialGraph:
         self.posts[post.id] = post
         self._posts_by_creator[post.creator_id].append(post)
         self._posts_in_forum[post.forum_id].append(post)
-        insort(self._forum_posts_by_date[post.forum_id],
-               (post.creation_date, post.id))
+        place = list.append if self._bulk else insort
+        place(self._forum_posts_by_date[post.forum_id],
+              (post.creation_date, post.id))
         self._index_message(post)
         if self._delta_hooks:
             self._record_delta("posts", "insert", post.id, post)
@@ -516,6 +561,7 @@ class SocialGraph:
         O(likes-of-message): the edge leaves ``likes_edges`` by
         swap-remove through ``_likes_pos`` — no O(E) list scan.
         """
+        self._refuse_in_bulk("delete_like")
         self.write_version += 1
         existing = [
             l
@@ -541,6 +587,7 @@ class SocialGraph:
         deletes and the edge leaves ``knows_edges`` by swap-remove via
         the ``_knows_pos`` position map — no O(E) list rebuild.
         """
+        self._refuse_in_bulk("delete_knows")
         self.write_version += 1
         a, b = min(person1, person2), max(person1, person2)
         self._friends.get(a, {}).pop(b, None)
@@ -562,6 +609,7 @@ class SocialGraph:
         O(members-of-forum): the edge leaves ``memberships`` by
         swap-remove through ``_member_pos`` — no O(E) list scan.
         """
+        self._refuse_in_bulk("delete_membership")
         self.write_version += 1
         existing = [
             m
@@ -602,6 +650,7 @@ class SocialGraph:
         grow with thread depth and routinely exceed the interpreter's
         recursion limit at scale, so recursion is not an option here.
         """
+        self._refuse_in_bulk("delete_comment")
         comment = self.comments.get(comment_id)
         if comment is None:
             return
@@ -627,6 +676,7 @@ class SocialGraph:
 
     def delete_post(self, post_id: int) -> None:
         """Delete a Post, its likes, and its whole thread."""
+        self._refuse_in_bulk("delete_post")
         post = self.posts.get(post_id)
         if post is None:
             return
@@ -648,6 +698,7 @@ class SocialGraph:
 
     def delete_forum(self, forum_id: int) -> None:
         """Delete a Forum with its posts (cascading) and memberships."""
+        self._refuse_in_bulk("delete_forum")
         forum = self.forums.get(forum_id)
         if forum is None:
             return
@@ -684,6 +735,7 @@ class SocialGraph:
         and albums).  Moderated group forums survive with the moderator
         detached (set to -1).
         """
+        self._refuse_in_bulk("delete_person")
         person = self.persons.get(person_id)
         if person is None:
             return

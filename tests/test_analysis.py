@@ -85,3 +85,13 @@ class TestFullDisclosureReport:
     def test_system_details_format(self):
         text = SystemDetails().format()
         assert "DBMS" in text and "Python" in text
+
+    def test_collector_tuning_disclosed(self):
+        report = DriverReport(log=[], wall_seconds=0.1)
+        text = full_disclosure_report("SF 0.01", 1.0, report)
+        (line,) = [l for l in text.splitlines() if l.startswith("SUT tuning")]
+        assert "collector paused" in line
+        for phase in ("SocialGraph.from_data", "snapfile.rebuild_store",
+                      "FrozenGraph", "checkpoint"):
+            assert phase in line
+        assert "generate) runs with it enabled" in line

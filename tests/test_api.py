@@ -1,7 +1,13 @@
 """Tests for the public facade (repro.SocialNetworkBenchmark)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro import SocialNetworkBenchmark
 
 
@@ -76,3 +82,26 @@ class TestValidation:
     def test_validation_roundtrip(self, bench):
         validation_set = bench.create_validation_set(bindings_per_query=1)
         assert bench.validate(validation_set) == []
+
+
+class TestLazyPackage:
+    def test_submodule_import_skips_the_facade(self):
+        script = (
+            "import sys, repro.graph.snapfile\n"
+            "assert 'repro.core.api' not in sys.modules\n"
+            "from repro import SocialGraph, generate, SocialNetworkBenchmark\n"
+            "assert SocialNetworkBenchmark.__module__ == 'repro.core.api'\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert result.returncode == 0, result.stderr
+
+    def test_exports_unchanged(self):
+        for name in repro.__all__:
+            assert getattr(repro, name) is not None
+        with pytest.raises(AttributeError):
+            repro.no_such_name

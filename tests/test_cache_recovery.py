@@ -1,5 +1,9 @@
 """Tests for the §6.3 durability/recovery and the §6.2 warmup phase."""
 
+import gc
+import pickle
+import warnings
+
 import pytest
 
 from repro.datagen.delete_streams import build_delete_streams
@@ -98,6 +102,28 @@ class TestDurability:
             DurableSut(
                 SocialGraph.from_data(small_net), tmp_path, checkpoint_every=0
             )
+
+    def test_failed_initial_checkpoint_closes_the_wal(self, tmp_path):
+        graph = SocialGraph()
+        graph.unpicklable = lambda: None
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises((pickle.PicklingError, AttributeError)):
+                DurableSut(graph, tmp_path)
+            gc.collect()
+        assert gc.isenabled()
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]
+
+    def test_truncated_checkpoint_restores_the_collector(self, tiny_net,
+                                                         tmp_path):
+        sut = DurableSut(SocialGraph.from_data(tiny_net), tmp_path)
+        sut.crash()
+        checkpoint = tmp_path / "checkpoint.pickle"
+        checkpoint.write_bytes(checkpoint.read_bytes()[:1000])
+        with pytest.raises((EOFError, pickle.UnpicklingError)):
+            recover(tmp_path)
+        assert gc.isenabled()
 
 
 class TestWarmup:

@@ -8,7 +8,9 @@ operate on a silently-corrupt mapping.
 
 from __future__ import annotations
 
+import gc
 import io
+import json
 import struct
 
 import pytest
@@ -24,6 +26,7 @@ from repro.graph.snapfile import (
     SnapshotFormatError,
     attach,
     open_snapshot,
+    rebuild_store,
     write_snapshot,
 )
 
@@ -82,6 +85,28 @@ class TestRoundTrip:
         attached = frozen.with_columns(attach(blob).columns)
         expected = [m.id for m in scan_messages(frozen)]
         assert [m.id for m in scan_messages(attached)] == expected
+
+
+class TestRebuildStore:
+    @staticmethod
+    def postings(graph):
+        return [
+            (list(family), list(family.values()))
+            for family in (
+                graph._messages_with_tag, graph._forum_posts_by_date
+            )
+        ]
+
+    def test_posting_lists_equal_the_parents(self, tiny_graph, blob):
+        rebuilt = rebuild_store(attach(blob).entities)
+        assert self.postings(rebuilt) == self.postings(tiny_graph)
+        assert "_bulk" not in rebuilt.__dict__
+
+    @pytest.mark.parametrize("payload", [b"{not json", b'{"places": []}'])
+    def test_corrupt_payload_restores_the_collector(self, payload):
+        with pytest.raises((json.JSONDecodeError, KeyError)):
+            rebuild_store(payload)
+        assert gc.isenabled()
 
 
 class TestHeaderValidation:

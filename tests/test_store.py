@@ -1,8 +1,13 @@
 """Tests for the graph store: adjacency correctness, inserts, ablation."""
 
+import contextlib
+import gc
+import pickle
+
 import pytest
 
 from repro.graph.store import SocialGraph
+from repro.util.alloc import collector_paused
 from repro.schema.entities import Comment, ForumKind, Post
 
 from tests.builders import (
@@ -431,3 +436,76 @@ class TestCutoffLoad:
         for post in bulk.posts.values():
             assert post.forum_id in bulk.forums
             assert post.creator_id in bulk.persons
+
+
+def _postings(graph):
+    """The two sorted posting families, with their key order."""
+    return [
+        (list(family), list(family.values()))
+        for family in (graph._messages_with_tag, graph._forum_posts_by_date)
+    ]
+
+
+class TestBulkInsertScope:
+    def test_from_data_matches_row_at_a_time_replay(self, small_net,
+                                                    monkeypatch):
+        bulk = SocialGraph.from_data(small_net, until=small_net.cutoff)
+        monkeypatch.setattr(SocialGraph, "_bulk_insert",
+                            lambda self: contextlib.nullcontext())
+        replayed = SocialGraph.from_data(small_net, until=small_net.cutoff)
+        assert _postings(bulk) == _postings(replayed)
+        assert pickle.dumps(bulk) == pickle.dumps(replayed)
+
+    def test_no_bulk_state_left_on_the_instance(self, tiny_net):
+        graph = SocialGraph.from_data(tiny_net)
+        assert "_bulk" not in graph.__dict__
+        assert "_bulk" not in pickle.loads(pickle.dumps(graph)).__dict__
+
+    def test_postings_sorted_when_the_body_raises(self, tiny_net):
+        posts = list(tiny_net.posts)
+        graph = SocialGraph()
+        with pytest.raises(ValueError, match="duplicate message id"):
+            with graph._bulk_insert():
+                for post in reversed(posts):  # appends land unsorted
+                    graph.add_post(post)
+                graph.add_post(posts[0])
+        assert gc.isenabled()
+        assert "_bulk" not in graph.__dict__
+        for _, lists in _postings(graph):
+            assert lists and all(p == sorted(p) for p in lists)
+        assert graph._forum_posts_by_date[posts[0].forum_id]
+
+    def test_delete_inside_the_scope_raises(self, tiny_net):
+        post = tiny_net.posts[0]
+        graph = SocialGraph()
+        with graph._bulk_insert():
+            graph.add_post(post)
+            with pytest.raises(RuntimeError, match="bulk load"):
+                graph.delete_post(post.id)
+        graph.delete_post(post.id)
+        assert not graph.has_message(post.id)
+
+
+class TestCollectorPaused:
+    def test_pauses_nest(self):
+        assert gc.isenabled()
+        with collector_paused():
+            with collector_paused():
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+        assert gc.isenabled()
+
+    def test_restored_when_the_body_raises(self):
+        with pytest.raises(KeyError):
+            with collector_paused():
+                raise KeyError("boom")
+        assert gc.isenabled()
+
+    def test_caller_disabled_collector_stays_disabled(self):
+        gc.disable()
+        try:
+            with collector_paused():
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+        finally:
+            gc.enable()

@@ -38,9 +38,11 @@ is a single ``enabled`` check.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from collections import Counter
-from heapq import merge as _heap_merge
-from itertools import compress, repeat, tee
+from functools import partial
+from itertools import compress, groupby, repeat, tee
+from operator import and_
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 from typing import Mapping, NamedTuple, Sequence, TypeVar, cast
 
@@ -261,20 +263,29 @@ def _message_chunk(
     span: Morsel,
     tag: int | None,
     languages: frozenset[str] | None,
+    live: bytearray | None = None,
 ) -> list[Message]:
     """Rows ``[lo, hi)`` of one frozen message slab (``tag``'s postings
     list for a ``"tag"`` span).  ``languages`` is pushed onto the
     dictionary-encoded root-language code column: integer-set
     membership via ``map`` + ``compress``, all C-level per slab slice,
-    instead of per-row root-post chasing."""
+    instead of per-row root-post chasing.  ``live`` — an overlay's
+    per-slab tombstone mask — drops deleted rows the same way, ANDed
+    with the language selector."""
     slab_kind, lo, hi = span
     if tag is not None:
         return graph._tag_objs.get(tag, [])[lo:hi]
     ((_, objs, _dates, codes),) = graph.message_slabs(slab_kind)
-    if languages is None:
+    selectors: Iterable[int] | None = None if live is None else live[lo:hi]
+    if languages is not None:
+        wanted = graph.language_codes(languages)
+        speaks = map(wanted.__contains__, codes[lo:hi])
+        selectors = (
+            speaks if selectors is None else map(and_, selectors, speaks)
+        )
+    if selectors is None:
         return objs[lo:hi]
-    wanted = graph.language_codes(languages)
-    return list(compress(objs[lo:hi], map(wanted.__contains__, codes[lo:hi])))
+    return list(compress(objs[lo:hi], selectors))
 
 
 def plan_messages(
@@ -338,7 +349,9 @@ def plan_messages(
     elif graph.delta_overlay is not None and graph.delta_overlay.messages_dirty(
         kind
     ):
-        rows = _merge_overlay_slabs(graph, graph.delta_overlay, kind, window)
+        chunks = _overlay_chunks(
+            graph, graph.delta_overlay, kind, window, languages
+        )
         access, indexed = "frozen-overlay-merge", True
     else:
         # Frozen fast path: bisect the int64 date columns and slice the
@@ -468,30 +481,52 @@ def morsel_ranges(
     return ranges or [(spans[0][0], 0, 0)]
 
 
-def _message_sort_key(message: Message) -> tuple[DateTime, int]:
-    return (message.creation_date, message.id)
+def _splice_position(
+    objs: list[Message], dates: array, lo: int, hi: int, message: Message
+) -> int:
+    """Where ``message`` goes among the ``(creationDate, id)``-sorted
+    base rows ``[lo, hi)``: its date bisects, its id breaks ties."""
+    date = message.creation_date
+    at = bisect_left(dates, date, lo, hi)
+    while at < hi and dates[at] == date and objs[at].id < message.id:
+        at += 1
+    return at
 
 
-def _merge_overlay_slabs(
+def _overlay_chunks(
     graph: FrozenGraph,
     overlay: "DeltaOverlay",
     kind: str | None,
     window: Window | None,
-) -> Iterator[Message]:
-    """The window rows of a delta-overlaid snapshot, per slab: the base
-    column slice minus tombstoned ids, merged with the overlay's
-    windowed inserts (both sides ``(creationDate, id)``-sorted)."""
+    languages: frozenset[str] | None,
+) -> Iterator[list[Message]]:
+    """The window rows of a delta-overlaid snapshot as chunks, per
+    slab: base column slices through the overlay's tombstone mask (and
+    the language codes), with the overlay's windowed inserts spliced in
+    at their ``(creationDate, id)`` positions.  Stream inserts are
+    dated at or after the bulk cutoff, so they land at the slab tail
+    and each slab is one base chunk plus one insert chunk; an insert
+    dated inside the base range splits the slice where it belongs."""
     start, end = window or (None, None)
-    for span in _window_spans(graph, kind, window):
-        base: Iterable[Message] = _message_chunk(graph, span, None, None)
-        tombstones = overlay.message_tombstones(span[0])
-        if tombstones:
-            base = (m for m in base if m.id not in tombstones)
-        delta = overlay.window_messages(span[0], start, end)
-        if delta:
-            yield from _heap_merge(base, delta, key=_message_sort_key)
-        else:
-            yield from base
+    for slab_kind, lo, hi in _window_spans(graph, kind, window):
+        live = overlay.live_mask(graph, slab_kind)
+        inserts = overlay.window_messages(slab_kind, start, end)
+        if languages is not None:
+            inserts = [
+                m for m in inserts
+                if graph.language_of_message(m) in languages
+            ]
+        ((_, objs, dates, _codes),) = graph.message_slabs(slab_kind)
+        cut = lo
+        for at, group in groupby(
+            inserts, key=partial(_splice_position, objs, dates, lo, hi)
+        ):
+            yield _message_chunk(
+                graph, (slab_kind, cut, at), None, languages, live
+            )
+            yield list(group)
+            cut = at
+        yield _message_chunk(graph, (slab_kind, cut, hi), None, languages, live)
 
 
 def scan_forum_posts(

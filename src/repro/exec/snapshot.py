@@ -125,7 +125,7 @@ class SnapshotConfig:
         if fraction is None:
             raw = os.environ.get(ENV_COMPACT_FRACTION)
             fraction = 0.25 if raw is None or not raw.strip() else float(raw)
-        if fraction < 0.0:
+        if not fraction >= 0.0:  # also rejects NaN, which compares false
             raise ValueError("compact fraction must be >= 0")
         morsel_size = self.morsel_size
         if morsel_size is None:

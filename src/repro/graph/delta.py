@@ -30,10 +30,14 @@ read time.
   fall back to the live ``SocialGraph`` implementations — which are
   *always current*, because a snapshot shares the live store's entity
   tables and adjacency indexes by reference.  The engine's operator
-  fast paths (``scan_messages`` date-bisect, ``expand`` CSR walks) do
-  the same per-slab: filter base rows through the tombstone sets and
-  merge the date-windowed overlay inserts, under the same operator
-  counters as the clean frozen path.
+  fast paths stay columnar: ``expand`` walks the knows CSR per clean
+  source, and the ``scan_messages`` window scan emits chunks like the
+  clean frozen path — each slab's base slice through a per-slab
+  tombstone ``bytearray`` (:meth:`DeltaOverlay.live_mask`, folded
+  from an append-only log of message deletes) with
+  ``itertools.compress``, and the date-windowed overlay inserts
+  spliced in at their ``(creationDate, id)`` positions — under the
+  same operator counters as the clean frozen path.
 
 Compaction — folding the overlay into a fresh snapshot — is the
 :class:`~repro.graph.frozen.FreezeManager`'s job: it refreezes when the
@@ -106,6 +110,21 @@ class DeltaOverlay:
         #: sorted-window cache's invalidation stamp.
         self.version = 0
         self._window_cache: dict[str, tuple[list[Message], list[DateTime]]] = {}
+        #: Append-only log of deleted message ids (both families).
+        #: :meth:`live_mask` folds it into per-slab masks over the base
+        #: snapshot whose ordinal map is ``_mask_ords``; the first
+        #: ``_masked`` entries are folded.
+        self._message_log: list[int] = []
+        self._masks: dict[str, bytearray] = {}
+        self._mask_ords: dict[int, int] | None = None
+        self._masked = 0
+
+    def __getstate__(self) -> dict[str, object]:
+        # The masks index one process's base snapshot; a shipped
+        # overlay refolds its log against the receiver's.
+        state = self.__dict__.copy()
+        state.update(_masks={}, _mask_ords=None)
+        return state
 
     # -- write side ----------------------------------------------------
 
@@ -131,6 +150,8 @@ class DeltaOverlay:
             self.dirty_forums.add(key)  # type: ignore[arg-type]
         elif family == "posts" or family == "comments":
             self._window_cache.pop(family, None)
+            if op != "insert":
+                self._message_log.append(key)  # type: ignore[arg-type]
             message = entity
             if isinstance(message, Message):
                 self.dirty_tags.update(message.tag_ids)
@@ -192,6 +213,8 @@ class DeltaOverlay:
         self.knows_dirty_persons.clear()
         self.version = 0
         self._window_cache.clear()
+        self._message_log.clear()
+        self._mask_ords = None
 
     # -- read side -----------------------------------------------------
 
@@ -231,17 +254,47 @@ class DeltaOverlay:
     def person_gone(self, person_id: int) -> bool:
         return person_id in self.tombstones["persons"]
 
-    def message_tombstones(self, kind: str) -> set[object]:
-        """The tombstone key set for one message slab kind."""
-        return self.tombstones[_MESSAGE_FAMILY[kind]]
+    def live_mask(self, graph: FrozenGraph, kind: str) -> bytearray | None:
+        """One byte per row of ``graph``'s ``kind`` message slab: 1 for
+        a surviving base row, 0 for a tombstoned one — the selector the
+        engine's overlaid window scan feeds ``itertools.compress``.
+        ``None`` while the family has no tombstones (every row lives).
+
+        Built on first use per base snapshot, then kept current by
+        folding only the log entries appended since the last call; ids
+        the base never held (overlay-only rows) fold to nothing."""
+        if not self.tombstones[_MESSAGE_FAMILY[kind]]:
+            return None
+        ordinal_of = graph._msg_ord
+        masks = self._masks
+        if self._mask_ords is not ordinal_of:
+            masks["post"] = bytearray(b"\x01") * len(graph._post_objs)
+            masks["comment"] = bytearray(b"\x01") * len(graph._comment_objs)
+            self._mask_ords = ordinal_of
+            self._masked = 0
+        log = self._message_log
+        if self._masked < len(log):
+            posts = masks["post"]
+            comments = masks["comment"]
+            first_comment = len(posts)
+            for message_id in log[self._masked :]:
+                ordinal = ordinal_of.get(message_id)
+                if ordinal is None:
+                    continue
+                if ordinal < first_comment:
+                    posts[ordinal] = 0
+                else:
+                    comments[ordinal - first_comment] = 0
+            self._masked = len(log)
+        return masks[kind]
 
     def window_messages(
         self, kind: str, start: DateTime | None, end: DateTime | None
     ) -> list[Message]:
         """Overlay-inserted messages of ``kind`` with creationDate in
-        ``[start, end)``, sorted by ``(creationDate, id)`` — the merge
-        input for the engine's frozen window scan.  The sorted list is
-        cached until the family next changes."""
+        ``[start, end)``, sorted by ``(creationDate, id)`` — the rows
+        the engine's overlaid window scan splices into the base slabs.
+        The sorted list is cached until the family next changes."""
         family = _MESSAGE_FAMILY[kind]
         cached = self._window_cache.get(family)
         if cached is None:

@@ -97,6 +97,18 @@ def _swap_remove(table, pos_map, key, key_of, item) -> None:
     moved_positions[moved_positions.index(last)] = position
 
 
+def _remove_row(items: list, item: object) -> None:
+    """Remove ``item`` itself from the adjacency list ``items``.
+
+    Matches by identity: ``list.remove`` would run the dataclass
+    ``__eq__`` on every earlier, non-identical row.  Identity is exact
+    because every mutator appends the *same* object to every index it
+    maintains — loads, ``rebuild_store`` and ``recover``'s unpickle
+    (which memoizes shared references) included.
+    """
+    del items[list(map(id, items)).index(id(item))]
+
+
 def _load(
     graph: "SocialGraph", net: "SocialNetworkData", until: DateTime | None
 ) -> None:
@@ -573,8 +585,8 @@ class SocialGraph:
                 self.likes_edges, self._likes_pos,
                 (person_id, message_id), _like_key, like,
             )
-            self._likes_of_message[message_id].remove(like)
-            self._likes_by_person[person_id].remove(like)
+            _remove_row(self._likes_of_message[message_id], like)
+            _remove_row(self._likes_by_person[person_id], like)
             if self._delta_hooks:
                 self._record_delta(
                     "likes", "delete", (person_id, message_id), like
@@ -621,8 +633,8 @@ class SocialGraph:
                 self.memberships, self._member_pos,
                 (forum_id, person_id), _member_key, membership,
             )
-            self._members_of_forum[forum_id].remove(membership)
-            self._forums_of_member[person_id].remove(membership)
+            _remove_row(self._members_of_forum[forum_id], membership)
+            _remove_row(self._forums_of_member[person_id], membership)
             if self._delta_hooks:
                 self._record_delta(
                     "memberships", "delete", (forum_id, person_id), membership
@@ -634,9 +646,7 @@ class SocialGraph:
                 self.likes_edges, self._likes_pos,
                 (like.person_id, like.message_id), _like_key, like,
             )
-            bucket = self._likes_by_person.get(like.person_id)
-            if bucket and like in bucket:
-                bucket.remove(like)
+            _remove_row(self._likes_by_person[like.person_id], like)
             if self._delta_hooks:
                 self._record_delta(
                     "likes", "delete",
@@ -659,16 +669,14 @@ class SocialGraph:
             if comment.reply_of_post >= 0
             else comment.reply_of_comment
         )
-        parent_replies = self._replies_of.get(parent)
-        if parent_replies and comment in parent_replies:
-            parent_replies.remove(comment)
+        _remove_row(self._replies_of[parent], comment)
         stack: list[Comment] = [comment]
         while stack:
             node = stack.pop()
             self.write_version += 1
             stack.extend(self._replies_of.pop(node.id, ()))
             self._delete_message_likes(node.id)
-            self._comments_by_creator[node.creator_id].remove(node)
+            _remove_row(self._comments_by_creator[node.creator_id], node)
             self._unindex_message(node)
             del self.comments[node.id]
             if self._delta_hooks:
@@ -685,8 +693,8 @@ class SocialGraph:
             self.delete_comment(reply.id)
         self._replies_of.pop(post_id, None)
         self._delete_message_likes(post_id)
-        self._posts_by_creator[post.creator_id].remove(post)
-        self._posts_in_forum[post.forum_id].remove(post)
+        _remove_row(self._posts_by_creator[post.creator_id], post)
+        _remove_row(self._posts_in_forum[post.forum_id], post)
         dated = self._forum_posts_by_date[post.forum_id]
         index = bisect_left(dated, (post.creation_date, post.id))
         if index < len(dated) and dated[index] == (post.creation_date, post.id):
@@ -712,7 +720,9 @@ class SocialGraph:
                 self.memberships, self._member_pos,
                 (forum_id, membership.person_id), _member_key, membership,
             )
-            self._forums_of_member[membership.person_id].remove(membership)
+            _remove_row(
+                self._forums_of_member[membership.person_id], membership
+            )
             if self._delta_hooks:
                 self._record_delta(
                     "memberships", "delete",

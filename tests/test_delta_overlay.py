@@ -20,6 +20,7 @@ import math
 import pytest
 
 from repro.driver.bi_driver import build_microbatches
+from repro.engine import reset_counters, scan_messages
 from repro.exec import InlineSnapshot, Task, WorkerPool
 from repro.exec.tasks import _tally_read_path
 from repro.graph.delta import (
@@ -145,6 +146,18 @@ class TestResolveCompactFraction:
         with pytest.raises(ValueError):
             resolve_compact_fraction(-0.1)
 
+    def test_nan_rejected(self, monkeypatch):
+        """NaN fails every comparison, so a ``< 0`` check would let it
+        through and the manager would silently never compact."""
+        with pytest.raises(ValueError):
+            resolve_compact_fraction(float("nan"))
+        monkeypatch.setenv("REPRO_DELTA_COMPACT_FRACTION", "nan")
+        with pytest.raises(ValueError):
+            resolve_compact_fraction(None)
+
+    def test_infinity_pins_the_overlay(self):
+        assert resolve_compact_fraction(math.inf) == math.inf
+
 
 # -- FreezeManager lifecycle ------------------------------------------------
 
@@ -262,6 +275,66 @@ class TestFreezeManagerMergeOnRead:
         assert path_value("overlay_merge") == overlay_before + 1
 
 
+# -- the overlaid window scan ------------------------------------------------
+
+
+class TestOverlaySplice:
+    """Inserts dated *inside* the base range — which the update stream
+    never produces, since its events are dated after the bulk cutoff —
+    must splice into the base slices at their ``(creationDate, id)``
+    positions, through the same tombstone masks."""
+
+    def test_ties_and_deletes_match_a_fresh_freeze(self):
+        b = GraphBuilder()
+        alice = b.person()
+        forum = b.forum(alice)
+        b._next_message = 100  # keep low ids free for the ties below
+        posts = [
+            b.post(alice, forum, created=ts(3, day), language=language)
+            for day, language in ((1, "en"), (5, "de"), (9, "en"), (13, "de"))
+        ]
+        comments = [
+            b.comment(alice, post, created=ts(4, 2 + 3 * i))
+            for i, post in enumerate(posts)
+        ]
+        live = b.graph
+        manager = FreezeManager(live, compact_fraction=math.inf)
+        manager.frozen()
+        for next_id in (10, 200):  # one tie below the base id, one above
+            b._next_message = next_id
+            b.post(alice, forum, created=ts(3, 5), language="en")
+            b.comment(alice, posts[2], created=ts(4, 5))
+        live.delete_post(posts[0])  # cascades comments[0]
+        live.delete_comment(comments[2])
+        view = manager.frozen()
+        assert isinstance(view, OverlaidGraph)
+        window = (ts(3, 1), ts(6, 1))
+        for language in (None, ["en"], ["de"]):
+            reset_counters()
+            rows = [
+                m.id
+                for m in scan_messages(view, window=window, language=language)
+            ]
+            view_tally = reset_counters().as_dict(skip_zero=True)
+            live_rows = [
+                m.id
+                for m in scan_messages(live, window=window, language=language)
+            ]
+            live_tally = reset_counters().as_dict(skip_zero=True)
+            fresh = [
+                m.id
+                for m in scan_messages(
+                    freeze(live), window=window, language=language
+                )
+            ]
+            reset_counters()
+            assert rows, language
+            assert rows == fresh  # the (creationDate, id) order, exactly
+            assert sorted(rows) == sorted(live_rows)
+            assert view_tally == live_tally
+        manager.detach()
+
+
 # -- the acceptance differential --------------------------------------------
 
 
@@ -312,9 +385,26 @@ def overlay_phase(tiny_net, tiny_config):
     return live, manager, ParameterGenerator(live, tiny_config)
 
 
+#: The operator counters that do not depend on row order: the overlay
+#: and the live store must agree on them per query.
+_ORDER_FREE_COUNTERS = (
+    "rows_scanned", "index_scans", "full_scans", "edges_expanded",
+    "groups_created",
+)
+
+
+def _run_counted(query, graph, binding):
+    """``_run_query`` plus the order-insensitive counters it tallied."""
+    reset_counters()
+    outcome = _run_query(query, graph, binding)
+    tally = reset_counters()
+    return outcome, {name: getattr(tally, name) for name in _ORDER_FREE_COUNTERS}
+
+
 class TestOverlayVersusLive:
-    """Row-identical results on the overlay merge view and the live
-    store it shadows — the delta overlay's acceptance bar."""
+    """Row-identical results, and equal order-insensitive operator
+    counters, on the overlay merge view and the live store it shadows —
+    the delta overlay's acceptance bar."""
 
     def test_overlay_view_served_not_refrozen(self, overlay_phase):
         live, manager, _ = overlay_phase
@@ -327,7 +417,7 @@ class TestOverlayVersusLive:
         view = manager.frozen()
         for number, (query, _) in sorted(ALL_QUERIES.items()):
             for binding in params.bi(number, count=2):
-                assert _run_query(query, view, binding) == _run_query(
+                assert _run_counted(query, view, binding) == _run_counted(
                     query, live, binding
                 ), f"BI {number} diverged on the overlay for {binding}"
 
@@ -336,7 +426,7 @@ class TestOverlayVersusLive:
         view = manager.frozen()
         for number, (query, _) in sorted(ALL_COMPLEX.items()):
             for binding in params.interactive(number, count=2):
-                assert _run_query(query, view, binding) == _run_query(
+                assert _run_counted(query, view, binding) == _run_counted(
                     query, live, binding
                 ), f"IC {number} diverged on the overlay for {binding}"
 

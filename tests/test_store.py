@@ -349,6 +349,110 @@ class TestRelationDeletesInPlace:
         assert graph._work_pos == {}
 
 
+#: The per-key adjacency lists the delete cascades remove rows from.
+_ROW_INDEXES = (
+    "_comments_by_creator", "_posts_by_creator", "_posts_in_forum",
+    "_likes_by_person", "_likes_of_message", "_members_of_forum",
+    "_forums_of_member", "_replies_of",
+)
+
+
+def _row_indexes(graph):
+    return {
+        name: {key: rows for key, rows in getattr(graph, name).items() if rows}
+        for name in _ROW_INDEXES
+    }
+
+
+class TestDeletesByIdentity:
+    """Every delete cascade removes its rows from the adjacency lists by
+    identity: no row's ``__eq__`` runs, and copies made through
+    ``rebuild_store`` or a checkpoint ``recover`` stay exact."""
+
+    def _world(self):
+        """Shared forums, threads and likes, so every removed row sits
+        behind other rows in each list it leaves."""
+        b = GraphBuilder()
+        people = [b.person() for _ in range(6)]
+        group = b.forum(people[0])
+        wall = b.forum(people[1], kind=ForumKind.WALL)
+        other = b.forum(people[2])
+        for forum in (group, other):
+            for pid in people:
+                b.member(forum, pid)
+        b.member(wall, people[3])
+        b.member(wall, people[1])
+        posts = [
+            b.post(people[i % 6], (group, wall, other)[i % 3])
+            for i in range(9)
+        ]
+        comments = []
+        for i, post in enumerate(posts):
+            first = b.comment(people[(i + 1) % 6], post)
+            comments += [first, b.comment(people[(i + 2) % 6], post),
+                         b.comment(people[(i + 3) % 6], first)]
+        for pid in people:
+            for mid in posts[::2] + comments[::3]:
+                b.like(pid, mid)
+        deletes = [
+            ("delete_like", (people[4], posts[2])),
+            ("delete_membership", (group, people[5])),
+            ("delete_comment", (comments[4],)),
+            ("delete_post", (posts[3],)),
+            ("delete_forum", (other,)),
+            ("delete_person", (people[1],)),
+        ]
+        return b.graph, deletes
+
+    @staticmethod
+    def _count_row_comparisons(monkeypatch):
+        from repro.schema.relations import HasMember, Likes
+
+        calls = []
+        for cls in (Post, Comment, Likes, HasMember):
+            def counting(self, other, _eq=cls.__eq__):
+                calls.append(type(self).__name__)
+                return _eq(self, other)
+
+            monkeypatch.setattr(cls, "__eq__", counting)
+        return calls
+
+    def test_cascades_never_compare_rows(self, monkeypatch):
+        graph, deletes = self._world()
+        calls = self._count_row_comparisons(monkeypatch)
+        for name, args in deletes:
+            getattr(graph, name)(*args)
+        assert calls == []
+        assert graph.forums and graph.likes_edges  # the world survives
+
+    def test_rebuilt_and_recovered_copies_delete_alike(self, monkeypatch,
+                                                       tmp_path):
+        import io
+
+        from repro.driver.recovery import DurableSut, recover
+        from repro.graph.frozen import freeze
+        from repro.graph.snapfile import attach, rebuild_store, write_snapshot
+
+        graph, deletes = self._world()
+        stream = io.BytesIO()
+        write_snapshot(freeze(graph), stream)
+        rebuilt = rebuild_store(attach(stream.getvalue()).entities)
+        sut = DurableSut(graph, tmp_path)
+        sut.close()
+        recovered, _ = recover(tmp_path)
+        copies = (rebuilt, recovered)
+        for copy in copies:
+            assert _row_indexes(copy) == _row_indexes(graph)
+        calls = self._count_row_comparisons(monkeypatch)
+        for store in (graph, *copies):
+            for name, args in deletes:
+                getattr(store, name)(*args)
+        assert calls == []
+        monkeypatch.undo()
+        for copy in copies:
+            assert _row_indexes(copy) == _row_indexes(graph)
+
+
 class TestTagClassHierarchy:
     def test_descendants(self, simple):
         b, _ = simple

@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction.
 
-.PHONY: install test lint lint-flow bench bench-smoke bench-parallel bench-ledger bench-compare bench-tables examples all
+.PHONY: install test lint bench bench-smoke bench-parallel bench-ledger bench-compare bench-tables examples all
 
 install:
 	pip install -e .
@@ -8,18 +8,15 @@ install:
 test:
 	PYTHONPATH=src pytest tests/
 
-lint:  ## benchmark-invariant checker + (if installed) strict typing
+lint:  ## benchmark-invariant checker, waiver audit + (if installed) strict typing
 	PYTHONPATH=src python -m repro.lint src
+	PYTHONPATH=src python -m repro.lint src --audit-suppressions
 	@if command -v mypy >/dev/null 2>&1; then \
 		mypy --strict --follow-imports=silent \
 			src/repro/engine src/repro/util src/repro/lint; \
 	else \
 		echo "mypy not installed; skipping type check (CI runs it)"; \
 	fi
-
-lint-flow:  ## dataflow rules (R6/R7) + dead-waiver audit
-	PYTHONPATH=src python -m repro.lint src --select R6,R7
-	PYTHONPATH=src python -m repro.lint src --audit-suppressions
 
 bench:
 	PYTHONPATH=src pytest benchmarks/ --benchmark-only

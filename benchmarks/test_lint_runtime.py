@@ -1,13 +1,13 @@
 """Experiment LINT — full-repo static analysis stays interactive.
 
-The dataflow rules (R6/R7) build a control-flow graph and run an
-alias fixpoint per function, plus a call-graph fixpoint per module —
-quadratic-looking machinery that must nevertheless stay cheap enough
-to run on every commit and inside the test suite's meta-tests.  This
-benchmark times the two passes CI actually runs over the whole ``src``
-tree — the lint pass (all rule families, suppression filtering) and
-the dead-waiver audit (all rules, pre-suppression) — and asserts each
-completes within a few seconds.  Recorded as
+The checker runs on every commit and three times inside the test
+suite's meta-tests (lint, audit, CLI), so it must stay cheap enough
+that nobody is tempted to skip it.  This benchmark times the two passes
+CI actually runs over the whole ``src`` tree — the lint pass (R1–R5,
+suppression filtering) and the dead-waiver audit (the same rules,
+pre-suppression) — and asserts each completes within a few seconds,
+so a new rule that parses or walks a file more than once shows up
+here.  Recorded as
 ``BENCH_lint_runtime.json`` for ``make bench-compare``.
 """
 

@@ -492,8 +492,8 @@ def throughput_test(
     one initial freeze, then a delta-overlaid snapshot that absorbs
     each microbatch's writes, with a threshold-triggered compaction
     refreeze once the overlay outgrows ``snapshot.compact_fraction`` of
-    the base snapshot (:mod:`repro.graph.delta`; default through
-    ``REPRO_DELTA_COMPACT_FRACTION``).  No per-microbatch refreezes:
+    the base snapshot (:mod:`repro.graph.delta`; default 0.25).  No
+    per-microbatch refreezes:
     overlay maintenance and any compactions are part of the measured
     run, exactly like an incremental index refresh would be.  Pass
     ``compact_fraction=0.0`` to restore the old refreeze-every-batch

@@ -6,9 +6,10 @@ receives graph state through one typed surface:
 * :class:`SnapshotConfig` — the declarative knobs (provider, freeze,
   compaction fraction, morsel size), threaded through ``RunRequest``
   and both drivers.  Environment variables (``REPRO_SNAPSHOT_PROVIDER``,
-  ``REPRO_FROZEN``, ``REPRO_DELTA_COMPACT_FRACTION``,
-  ``REPRO_MORSEL_SIZE``) are documented fallbacks parsed in exactly one
-  place: :meth:`SnapshotConfig.resolved`.
+  ``REPRO_FROZEN``, ``REPRO_MORSEL_SIZE``) are documented fallbacks
+  parsed in exactly one place: :meth:`SnapshotConfig.resolved`.  The
+  compaction fraction has no environment fallback: it is an argument
+  (default 0.25).
 * :class:`SnapshotHandle` — the protocol every provider implements: a
   ``graph``, a ``context`` dict for task runners, ``ship()`` to cross a
   process boundary, ``bytes_mapped()`` and ``close()``.
@@ -55,7 +56,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.graph.store import SocialGraph
 
 __all__ = [
-    "ENV_COMPACT_FRACTION",
     "ENV_FROZEN",
     "ENV_MORSEL_SIZE",
     "ENV_PROVIDER",
@@ -73,7 +73,6 @@ __all__ = [
 
 ENV_PROVIDER = "REPRO_SNAPSHOT_PROVIDER"
 ENV_FROZEN = "REPRO_FROZEN"
-ENV_COMPACT_FRACTION = "REPRO_DELTA_COMPACT_FRACTION"
 ENV_MORSEL_SIZE = "REPRO_MORSEL_SIZE"
 
 #: Recognized snapshot providers, in documentation order.
@@ -90,7 +89,8 @@ class SnapshotConfig:
 
     ``provider`` picks how process workers obtain graph state;
     ``freeze`` whether drivers freeze the live store for read phases;
-    ``compact_fraction`` the delta-overlay compaction threshold;
+    ``compact_fraction`` the delta-overlay compaction threshold
+    (default 0.25, no environment fallback);
     ``morsel_size`` enables morsel-driven intra-query parallelism for
     queries with a registered morsel plan (``None`` disables);
     ``directory`` where ``mmap_file`` snapshots are written (system
@@ -123,8 +123,7 @@ class SnapshotConfig:
             )
         fraction = self.compact_fraction
         if fraction is None:
-            raw = os.environ.get(ENV_COMPACT_FRACTION)
-            fraction = 0.25 if raw is None or not raw.strip() else float(raw)
+            fraction = 0.25
         if not fraction >= 0.0:  # also rejects NaN, which compares false
             raise ValueError("compact fraction must be >= 0")
         morsel_size = self.morsel_size

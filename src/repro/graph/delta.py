@@ -42,7 +42,7 @@ read time.
 Compaction — folding the overlay into a fresh snapshot — is the
 :class:`~repro.graph.frozen.FreezeManager`'s job: it refreezes when the
 overlay outgrows :func:`resolve_compact_fraction` of the base row
-count (``REPRO_DELTA_COMPACT_FRACTION``, default 0.25; ``0.0``
+count (the ``compact_fraction=`` argument, default 0.25; ``0.0``
 degenerates to the old refreeze-per-batch behaviour).
 
 Query code must not import this module (lint R2, slug
@@ -416,11 +416,11 @@ class OverlaidGraph(FrozenGraph):
 
 
 def resolve_compact_fraction(fraction: float | None) -> float:
-    """Resolve the compaction threshold: an explicit value wins, else
-    the ``REPRO_DELTA_COMPACT_FRACTION`` environment variable, else
-    0.25.  The FreezeManager compacts (refreezes) when the overlay's
-    outstanding rows exceed ``fraction`` of the base snapshot's row
-    count; ``0.0`` therefore compacts on any write — the old
+    """Resolve the compaction threshold: an explicit value, else 0.25
+    (negative and NaN values are a :class:`ValueError`; there is no
+    environment fallback).  The FreezeManager compacts (refreezes)
+    when the overlay's outstanding rows exceed ``fraction`` of the base
+    snapshot's row count; ``0.0`` therefore compacts on any write — the old
     refreeze-per-microbatch behaviour, kept as the benchmark baseline.
     """
     from repro.exec.snapshot import SnapshotConfig

@@ -648,12 +648,11 @@ class FreezeManager:
     Every ``frozen()`` call republishes the per-family
     ``repro_delta_rows`` / ``repro_delta_tombstones`` gauges.
     ``compact_fraction`` defaults through
-    :func:`repro.graph.delta.resolve_compact_fraction`
-    (``REPRO_DELTA_COMPACT_FRACTION``, 0.25); ``0.0`` restores the old
-    refreeze-on-any-write behaviour, which the delta-overlay benchmark
-    uses as its baseline.  ``detach()`` unregisters the write-hook —
-    drivers call it when their run ends so abandoned managers stop
-    recording.
+    :func:`repro.graph.delta.resolve_compact_fraction` (0.25); ``0.0``
+    restores the old refreeze-on-any-write behaviour, which the
+    delta-overlay benchmark uses as its baseline.  ``detach()``
+    unregisters the write-hook — drivers call it when their run ends so
+    abandoned managers stop recording.
     """
 
     def __init__(

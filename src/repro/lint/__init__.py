@@ -1,4 +1,4 @@
-"""``repro.lint`` — AST/dataflow benchmark-invariant checker.
+"""``repro.lint`` — AST benchmark-invariant checker.
 
 The LDBC auditing rules (spec section 7) demand properties that unit
 tests cannot economically pin down for every future query: runs must be
@@ -23,13 +23,11 @@ Rules (see ``docs/LINTING.md`` for rationale and examples):
   tie-breaker (heuristic, suppressible).
 * **R5 observability discipline** — span/metric usage stays inside the
   sanctioned :mod:`repro.obs` surfaces.
-* **R6 snapshot-aliasing discipline** — live store tables and frozen
-  column families are mutated in place, never rebound, and frozen
-  views never mutate adopted base state (flow-sensitive, built on the
-  CFG/alias layer in :mod:`repro.lint.flow`).
-* **R7 fork/worker safety** — task runners write no shared module
-  state outside the metrics delta protocol, and pool submissions carry
-  snapshots, never live stores.
+
+Invariants that only hold of running code — snapshot tables shared by
+identity, frozen columns never mutated, worker results independent of
+the worker count — are runtime tests, not rules
+(``tests/test_frozen_aliasing.py``, ``tests/test_exec.py``).
 
 Run with ``python -m repro.lint src`` (exit 0 clean / 1 violations /
 2 usage error), audit the waiver inventory with
@@ -39,16 +37,14 @@ Run with ``python -m repro.lint src`` (exit 0 clean / 1 violations /
 
 from repro.lint.checker import audit_paths, audit_source, lint_paths, lint_source
 from repro.lint.diagnostics import Diagnostic, format_diagnostic
-from repro.lint.rules import ALL_RULES, RULES_BY_FAMILY, rules_for
+from repro.lint.rules import ALL_RULES
 
 __all__ = [
     "ALL_RULES",
-    "RULES_BY_FAMILY",
     "Diagnostic",
     "audit_paths",
     "audit_source",
     "format_diagnostic",
     "lint_paths",
     "lint_source",
-    "rules_for",
 ]

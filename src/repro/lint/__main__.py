@@ -1,12 +1,14 @@
 """CLI: ``python -m repro.lint <path>... [options]``.
 
-Options: ``--format {text,github}`` (github = workflow annotations),
-``--select R6,R7`` (run only the named rule families), and
-``--audit-suppressions`` (report waivers that no longer suppress any
-diagnostic instead of linting).
+Runs every rule (R1–R5) over the given files and directory trees.
+Options: ``--format {text,github}`` (github = workflow annotations)
+and ``--audit-suppressions`` (report waivers that no longer suppress
+any diagnostic instead of linting).  There is no per-family selection:
+a waiver is dead only if *no* rule would fire under it, so the audit
+needs the full rule set.
 
 Exit codes: 0 clean, 1 violations (or dead waivers) found, 2 usage
-error (bad flag, unknown family, nonexistent path).
+error (bad flag, nonexistent path).
 """
 
 from __future__ import annotations
@@ -17,17 +19,15 @@ from typing import Sequence
 
 from repro.lint.checker import audit_paths, lint_paths
 from repro.lint.diagnostics import format_diagnostic
-from repro.lint.rules import ALL_RULES, RULES_BY_FAMILY, rules_for
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
         description=(
-            "AST/dataflow benchmark-invariant checker: determinism (R1), "
+            "AST benchmark-invariant checker: determinism (R1), "
             "engine discipline (R2), query contracts (R3), "
-            "total-order sorts (R4), observability discipline (R5), "
-            "snapshot-aliasing discipline (R6), fork/worker safety (R7)."
+            "total-order sorts (R4), observability discipline (R5)."
         ),
     )
     parser.add_argument(
@@ -42,15 +42,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="diagnostic format (github = workflow annotations)",
     )
     parser.add_argument(
-        "--select",
-        metavar="FAMILIES",
-        default=None,
-        help=(
-            "comma-separated rule families to run "
-            f"(of: {', '.join(sorted(RULES_BY_FAMILY))}); default all"
-        ),
-    )
-    parser.add_argument(
         "--audit-suppressions",
         action="store_true",
         help=(
@@ -63,17 +54,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exit_:
         # argparse exits 2 on usage errors and 0 on --help; keep both.
         return int(exit_.code or 0)
-    rules = ALL_RULES
-    if args.select is not None:
-        families = [part.strip() for part in args.select.split(",") if part.strip()]
-        try:
-            rules = rules_for(families)
-        except KeyError as error:
-            print(f"error: unknown rule family {error}", file=sys.stderr)
-            return 2
     runner = audit_paths if args.audit_suppressions else lint_paths
     try:
-        diagnostics = runner(args.paths, rules)
+        diagnostics = runner(args.paths)
     except FileNotFoundError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

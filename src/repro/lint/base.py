@@ -44,24 +44,6 @@ class FileContext:
         return "obs" in self.module_parts[:-1]
 
     @property
-    def in_graph(self) -> bool:
-        """Inside :mod:`repro.graph` — where the snapshot-aliasing
-        discipline (R6) applies to store/frozen/delta code."""
-        return "graph" in self.module_parts[:-1]
-
-    @property
-    def in_exec(self) -> bool:
-        """Inside :mod:`repro.exec` — task runners and the worker pool,
-        where the fork-safety rules (R7) apply in full."""
-        return "exec" in self.module_parts[:-1]
-
-    @property
-    def in_driver(self) -> bool:
-        """Inside :mod:`repro.driver` — pool-submission call sites R7
-        checks for live-store capture."""
-        return "driver" in self.module_parts[:-1]
-
-    @property
     def is_rng_module(self) -> bool:
         return self.module_parts[-2:] == ("util", "rng.py")
 

@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 from repro.lint.base import Rule
-from repro.lint.rules_aliasing import check_snapshot_aliasing
 from repro.lint.rules_contracts import check_query_contracts
 from repro.lint.rules_determinism import (
     check_clock_and_random,
     check_unordered_return,
 )
 from repro.lint.rules_engine import check_engine_discipline
-from repro.lint.rules_fork import check_fork_safety
 from repro.lint.rules_obs import check_obs_discipline
 from repro.lint.rules_ordering import check_total_order_sorts
 
@@ -24,31 +22,4 @@ ALL_RULES: tuple[Rule, ...] = (
     check_query_contracts,
     check_total_order_sorts,
     check_obs_discipline,
-    check_snapshot_aliasing,
-    check_fork_safety,
 )
-
-#: Rule family -> the checkers implementing it, for ``--select``.
-RULES_BY_FAMILY: dict[str, tuple[Rule, ...]] = {
-    "R1": (check_clock_and_random, check_unordered_return),
-    "R2": (check_engine_discipline,),
-    "R3": (check_query_contracts,),
-    "R4": (check_total_order_sorts,),
-    "R5": (check_obs_discipline,),
-    "R6": (check_snapshot_aliasing,),
-    "R7": (check_fork_safety,),
-}
-
-
-def rules_for(families: "list[str] | tuple[str, ...]") -> tuple[Rule, ...]:
-    """The checkers for a ``--select`` family list (e.g. ``["R6", "R7"]``).
-
-    Raises :class:`KeyError` for an unknown family so the CLI can report
-    a usage error instead of silently checking nothing.
-    """
-    selected: list[Rule] = []
-    for family in families:
-        for rule in RULES_BY_FAMILY[family]:
-            if rule not in selected:
-                selected.append(rule)
-    return tuple(selected)

@@ -109,74 +109,6 @@ RAW_STORE_COLLECTIONS: frozenset[str] = frozenset(
 )
 
 
-#: Frozen/overlay column-family attributes of ``FrozenGraph`` (must
-#: equal the underscore-prefixed class-level annotations of
-#: ``repro.graph.frozen.FrozenGraph``).  R6 treats these — plus
-#: :data:`RAW_STORE_COLLECTIONS` and every container attribute a graph
-#: view binds in its constructor — as *aliased*: rebinding one forks the
-#: snapshot views that adopted it by reference.
-FROZEN_COLUMN_FAMILIES: frozenset[str] = frozenset(
-    {
-        "_person_ids", "_person_ord", "_person_country",
-        "_knows_offsets", "_knows_targets", "_knows_dates",
-        "_post_objs", "_post_dates", "_comment_objs", "_comment_dates",
-        "_msg_objs", "_msg_ord", "_root_ord",
-        "_reply_offsets", "_reply_targets",
-        "_thread_offsets", "_thread_members",
-        "_likes_offsets", "_likes_person", "_likes_dates",
-        "_forum_ids", "_forum_ord",
-        "_member_offsets", "_member_person", "_member_dates",
-        "_forum_post_offsets", "_forum_post_targets",
-        "_forum_post_objs", "_forum_post_date_cols",
-        "_tag_objs", "_tag_dates",
-        "_comment_root_lang", "_lang_code_of", "_country_persons",
-        "_post_language", "_post_browser", "_comment_browser",
-        "_person_gender", "_person_browser",
-    }
-)
-
-#: Read-only snapshot view classes: their methods must never mutate the
-#: base columns or tables they adopted by reference.
-FROZEN_VIEW_CLASSES: frozenset[str] = frozenset(
-    {"FrozenGraph", "OverlaidGraph"}
-)
-
-#: Classes whose instances *are* graph views sharing tables by
-#: reference (live store included — its tables must be mutated in
-#: place, never rebound, or frozen views silently fork).
-GRAPH_VIEW_CLASSES: frozenset[str] = frozenset(
-    {"SocialGraph"} | FROZEN_VIEW_CLASSES
-)
-
-#: Constructors whose result is a *live*, mutable store handle — R7
-#: flags these crossing the process-pool boundary (workers must receive
-#: a snapshot provider / frozen state instead).
-LIVE_STORE_CONSTRUCTORS: frozenset[str] = frozenset(
-    {"SocialGraph", "FreezeManager"}
-)
-
-#: Calls whose result is safe to ship to workers (frozen or overlay
-#: snapshots built for exactly that purpose).
-SNAPSHOT_CONSTRUCTORS: frozenset[str] = frozenset({"freeze", "frozen"})
-
-#: Snapshot-provider constructors of the Snapshot API
-#: (``repro.exec.snapshot``) — the graph they wrap crosses the pool
-#: boundary (by fork, pickle, or attach-by-path), so R7 checks their
-#: graph argument.
-SNAPSHOT_PROVIDER_CONSTRUCTORS: frozenset[str] = frozenset(
-    {
-        "InlineSnapshot",
-        "MmapFileSnapshot",
-        "provide_snapshot",
-    }
-)
-
-#: The task-runner registry name in ``repro.exec.tasks`` — R7 treats the
-#: callables registered there (and their module-local helpers) as worker
-#: bodies.
-TASK_RUNNER_REGISTRY = "TASK_KINDS"
-
-
 def camel_to_snake(name: str) -> str:
     """The spec's camelCase parameter names as Python argument names."""
     return re.sub(r"([A-Z])", r"_\1", name).lower().lstrip("_")

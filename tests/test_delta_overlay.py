@@ -130,30 +130,35 @@ class TestDeltaOverlayRecord:
 
 
 class TestResolveCompactFraction:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DELTA_COMPACT_FRACTION", "0.5")
+    def test_explicit_wins(self):
         assert resolve_compact_fraction(0.1) == 0.1
+        assert resolve_compact_fraction(0.0) == 0.0
 
-    def test_env_fallback_and_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DELTA_COMPACT_FRACTION", "0.75")
-        assert resolve_compact_fraction(None) == 0.75
-        monkeypatch.delenv("REPRO_DELTA_COMPACT_FRACTION")
+    def test_default(self):
         assert resolve_compact_fraction(None) == 0.25
-        monkeypatch.setenv("REPRO_DELTA_COMPACT_FRACTION", "  ")
-        assert resolve_compact_fraction(None) == 0.25
+        assert FreezeManager(SocialGraph()).compact_fraction == 0.25
+
+    def test_environment_variable_is_ignored(self, monkeypatch):
+        """``REPRO_DELTA_COMPACT_FRACTION`` is no longer read: the
+        threshold is an argument only."""
+        for raw in ("0.75", "nan", "-1"):
+            monkeypatch.setenv("REPRO_DELTA_COMPACT_FRACTION", raw)
+            assert resolve_compact_fraction(None) == 0.25
+            assert resolve_compact_fraction(0.5) == 0.5
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             resolve_compact_fraction(-0.1)
+        with pytest.raises(ValueError):
+            FreezeManager(SocialGraph(), compact_fraction=-0.1)
 
-    def test_nan_rejected(self, monkeypatch):
+    def test_nan_rejected(self):
         """NaN fails every comparison, so a ``< 0`` check would let it
         through and the manager would silently never compact."""
         with pytest.raises(ValueError):
             resolve_compact_fraction(float("nan"))
-        monkeypatch.setenv("REPRO_DELTA_COMPACT_FRACTION", "nan")
         with pytest.raises(ValueError):
-            resolve_compact_fraction(None)
+            FreezeManager(SocialGraph(), compact_fraction=float("nan"))
 
     def test_infinity_pins_the_overlay(self):
         assert resolve_compact_fraction(math.inf) == math.inf

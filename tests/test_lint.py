@@ -22,11 +22,9 @@ import pytest
 
 from repro.analysis.chokepoints import CHOKE_POINTS
 from repro.graph.store import SocialGraph
-from repro.lint import Diagnostic, format_diagnostic, lint_source, rules_for
+from repro.lint import Diagnostic, format_diagnostic, lint_source
 from repro.lint.checker import audit_paths, audit_source, lint_paths
 from repro.lint.spec import (
-    FROZEN_COLUMN_FAMILIES,
-    GRAPH_VIEW_CLASSES,
     RAW_STORE_COLLECTIONS,
     SPEC_BI_LIMITS,
     SPEC_BI_PARAMS,
@@ -45,11 +43,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 QUERY_PATH = "src/repro/queries/bi/frag.py"
 #: A path outside repro/queries/ (R2/R4/unordered-return do not apply).
 PLAIN_PATH = "src/repro/datagen/frag.py"
-
-#: Paths classified as graph/exec/driver code (where R6 and R7 apply).
-GRAPH_PATH = "src/repro/graph/frag.py"
-EXEC_PATH = "src/repro/exec/frag.py"
-DRIVER_PATH = "src/repro/driver/frag.py"
 
 
 def slugs_at(diags: list[Diagnostic]) -> list[tuple[int, str, str]]:
@@ -474,348 +467,6 @@ class TestR5ObsDiscipline:
 
 
 # ---------------------------------------------------------------------------
-# R6 — snapshot-aliasing discipline
-# ---------------------------------------------------------------------------
-
-
-class TestR6SnapshotAliasing:
-    def test_direct_rebind_flagged(self):
-        src = (
-            "class SocialGraph:\n"
-            "    def __init__(self):\n"
-            "        self.likes_edges = []\n\n"
-            "    def delete_like(self, like):\n"
-            "        self.likes_edges = [l for l in self.likes_edges"
-            " if l != like]\n"
-        )
-        assert slugs_at(lint_source(GRAPH_PATH, src)) == [
-            (6, "R6", "table-rebind")
-        ]
-
-    def test_rebind_through_helper_flagged(self):
-        # The call graph keeps helper indirection from hiding a rebind:
-        # only constructor-only methods are exempt, and _remove_like is
-        # reachable from the public mutator.
-        src = (
-            "class SocialGraph:\n"
-            "    def __init__(self):\n"
-            "        self.likes_edges = []\n\n"
-            "    def delete_like(self, like):\n"
-            "        self._remove_like(like)\n\n"
-            "    def _remove_like(self, like):\n"
-            "        self.likes_edges = [l for l in self.likes_edges"
-            " if l != like]\n"
-        )
-        assert slugs_at(lint_source(GRAPH_PATH, src)) == [
-            (9, "R6", "table-rebind")
-        ]
-
-    def test_constructor_only_builder_exempt(self):
-        src = (
-            "class FrozenGraph:\n"
-            "    def __init__(self, source):\n"
-            "        self._build_columns(source)\n\n"
-            "    def _build_columns(self, source):\n"
-            "        self._post_objs = list(source.posts.values())\n"
-        )
-        assert lint_source(GRAPH_PATH, src) == []
-
-    def test_same_object_write_back_allowed(self):
-        src = (
-            "class SocialGraph:\n"
-            "    def __init__(self):\n"
-            "        self.likes_edges = []\n\n"
-            "    def delete_like(self, like):\n"
-            "        rows = self.likes_edges\n"
-            "        rows.remove(like)\n"
-            "        self.likes_edges = rows\n"
-        )
-        assert lint_source(GRAPH_PATH, src) == []
-
-    def test_fresh_concat_write_back_flagged(self):
-        src = (
-            "class SocialGraph:\n"
-            "    def __init__(self):\n"
-            "        self.likes_edges = []\n\n"
-            "    def add_like(self, like):\n"
-            "        rows = self.likes_edges\n"
-            "        rows = rows + [like]\n"
-            "        self.likes_edges = rows\n"
-        )
-        assert slugs_at(lint_source(GRAPH_PATH, src)) == [
-            (8, "R6", "table-rebind")
-        ]
-
-    def test_branch_may_rebind_flagged(self):
-        # Flow-sensitivity: one branch rebinding taints the join.
-        src = (
-            "class SocialGraph:\n"
-            "    def __init__(self):\n"
-            "        self.likes_edges = []\n\n"
-            "    def prune(self, cond):\n"
-            "        rows = self.likes_edges\n"
-            "        if cond:\n"
-            "            rows = []\n"
-            "        self.likes_edges = rows\n"
-        )
-        assert slugs_at(lint_source(GRAPH_PATH, src)) == [
-            (9, "R6", "table-rebind")
-        ]
-
-    def test_augmented_assign_not_flagged(self):
-        # += mutates the bound object in place; views stay aliased.
-        src = (
-            "class SocialGraph:\n"
-            "    def __init__(self):\n"
-            "        self.likes_edges = []\n\n"
-            "    def add_rows(self, rows):\n"
-            "        self.likes_edges += rows\n"
-        )
-        assert lint_source(GRAPH_PATH, src) == []
-
-    def test_tuple_unpack_rebind_flagged(self):
-        src = (
-            "class SocialGraph:\n"
-            "    def __init__(self):\n"
-            "        self.posts = {}\n"
-            "        self.comments = {}\n\n"
-            "    def reset_tables(self):\n"
-            "        self.posts, self.comments = {}, {}\n"
-        )
-        assert slugs_at(lint_source(GRAPH_PATH, src)) == [
-            (7, "R6", "table-rebind"),
-            (7, "R6", "table-rebind"),
-        ]
-
-    def test_setattr_rebind_flagged(self):
-        src = (
-            "class SocialGraph:\n"
-            "    def __init__(self):\n"
-            "        self.posts = {}\n\n"
-            "    def clobber(self):\n"
-            "        setattr(self, 'posts', {})\n"
-        )
-        assert slugs_at(lint_source(GRAPH_PATH, src)) == [
-            (6, "R6", "table-rebind")
-        ]
-
-    def test_frozen_mutation_direct_flagged(self):
-        src = (
-            "class FrozenGraph:\n"
-            "    def __init__(self, source):\n"
-            "        self._post_objs = list(source.posts.values())\n\n"
-            "    def evict(self, post):\n"
-            "        self._post_objs.remove(post)\n"
-        )
-        assert slugs_at(lint_source(GRAPH_PATH, src)) == [
-            (6, "R6", "frozen-mutation")
-        ]
-
-    def test_frozen_mutation_via_local_alias_flagged(self):
-        src = (
-            "class OverlaidGraph:\n"
-            "    def patch(self, key, value):\n"
-            "        ordinals = self._msg_ord\n"
-            "        ordinals[key] = value\n"
-        )
-        assert slugs_at(lint_source(GRAPH_PATH, src)) == [
-            (4, "R6", "frozen-mutation")
-        ]
-
-    def test_frozen_read_paths_not_flagged(self):
-        src = (
-            "class FrozenGraph:\n"
-            "    def persons_in_country(self, country):\n"
-            "        out = []\n"
-            "        for pid in self._country_persons.get(country, []):\n"
-            "            out.append(pid)\n"
-            "        return out\n"
-        )
-        assert lint_source(GRAPH_PATH, src) == []
-
-    def test_non_view_class_not_scanned(self):
-        # FreezeManager re-freezes by design; it is a manager holding a
-        # snapshot slot, not a view sharing tables by reference.
-        src = (
-            "class FreezeManager:\n"
-            "    def _refreeze(self):\n"
-            "        self._snapshot = freeze(self.graph)\n"
-        )
-        assert lint_source(GRAPH_PATH, src) == []
-
-    def test_rule_scoped_to_graph_package(self):
-        src = (
-            "class SocialGraph:\n"
-            "    def clobber(self):\n"
-            "        self.posts = {}\n"
-        )
-        assert lint_source(PLAIN_PATH, src) == []
-
-
-# ---------------------------------------------------------------------------
-# R7 — fork/worker safety
-# ---------------------------------------------------------------------------
-
-
-class TestR7ForkSafety:
-    def test_runner_mutating_module_state_flagged(self):
-        src = (
-            "RESULTS = []\n\n"
-            "def _run_bi(graph, context, n):\n"
-            "    RESULTS.append(n)\n"
-            "    return n\n\n"
-            'TASK_KINDS = {"bi": _run_bi}\n'
-        )
-        assert slugs_at(lint_source(EXEC_PATH, src)) == [
-            (4, "R7", "worker-shared-state")
-        ]
-
-    def test_runner_helper_mutation_flagged(self):
-        # Transitive module-local callees count as runner body.
-        src = (
-            "RESULTS = []\n\n"
-            "def _run_bi(graph, context, n):\n"
-            "    _note(n)\n"
-            "    return n\n\n"
-            "def _note(n):\n"
-            "    RESULTS.append(n)\n\n"
-            'TASK_KINDS = {"bi": _run_bi}\n'
-        )
-        assert slugs_at(lint_source(EXEC_PATH, src)) == [
-            (8, "R7", "worker-shared-state")
-        ]
-
-    def test_runner_global_write_flagged(self):
-        src = (
-            "CURSOR = 0\n\n"
-            "def _run_bi(graph, context, n):\n"
-            "    global CURSOR\n"
-            "    CURSOR = n\n\n"
-            'TASK_KINDS = {"bi": _run_bi}\n'
-        )
-        assert slugs_at(lint_source(EXEC_PATH, src)) == [
-            (5, "R7", "worker-shared-state")
-        ]
-
-    def test_runner_registry_reset_flagged(self):
-        src = (
-            "def _run_bi(graph, context, n):\n"
-            "    reset_counters()\n"
-            "    return n\n\n"
-            'TASK_KINDS = {"bi": _run_bi}\n'
-        )
-        assert slugs_at(lint_source(EXEC_PATH, src)) == [
-            (2, "R7", "worker-shared-state")
-        ]
-
-    def test_registered_runner_via_call_flagged(self):
-        src = (
-            "STATE = {}\n\n"
-            "def custom(graph, context):\n"
-            "    STATE['x'] = 1\n\n"
-            'register_task_kind("custom", custom)\n'
-        )
-        assert slugs_at(lint_source(EXEC_PATH, src)) == [
-            (4, "R7", "worker-shared-state")
-        ]
-
-    def test_non_runner_may_touch_module_state(self):
-        # The pool's own delta-capture protocol resets counters; only
-        # *task runners* are restricted.
-        src = (
-            "def _execute(task):\n"
-            "    reset_counters()\n"
-            "    return task\n"
-        )
-        assert lint_source(EXEC_PATH, src) == []
-
-    def test_runner_local_state_allowed(self):
-        src = (
-            "def _run_stream(graph, context, n):\n"
-            "    executed = 0\n"
-            "    for _ in range(n):\n"
-            "        executed += 1\n"
-            "    return executed\n\n"
-            'TASK_KINDS = {"stream": _run_stream}\n'
-        )
-        assert lint_source(EXEC_PATH, src) == []
-
-    def test_live_store_into_snapshot_flagged(self):
-        src = (
-            "def submit(net):\n"
-            "    graph = SocialGraph.from_data(net)\n"
-            "    return InlineSnapshot(graph)\n"
-        )
-        assert slugs_at(lint_source(EXEC_PATH, src)) == [
-            (3, "R7", "live-store-capture")
-        ]
-
-    def test_freeze_manager_into_pool_flagged(self):
-        src = (
-            "def build(graph):\n"
-            "    manager = FreezeManager(graph)\n"
-            "    return WorkerPool(workers=2, snapshot=manager)\n"
-        )
-        assert slugs_at(lint_source(EXEC_PATH, src)) == [
-            (3, "R7", "live-store-capture")
-        ]
-
-    def test_live_store_in_task_payload_flagged(self):
-        src = (
-            "def enqueue(index):\n"
-            "    graph = SocialGraph()\n"
-            '    return Task(index, "call", (run_one, graph))\n'
-        )
-        assert slugs_at(lint_source(EXEC_PATH, src)) == [
-            (3, "R7", "live-store-capture")
-        ]
-
-    def test_frozen_snapshot_allowed(self):
-        src = (
-            "def submit(graph):\n"
-            "    return InlineSnapshot(freeze(graph))\n"
-        )
-        assert lint_source(EXEC_PATH, src) == []
-
-    def test_manager_frozen_allowed(self):
-        src = (
-            "def submit(graph):\n"
-            "    manager = FreezeManager(graph)\n"
-            "    return InlineSnapshot(manager.frozen())\n"
-        )
-        assert lint_source(EXEC_PATH, src) == []
-
-    def test_conditional_freeze_allowed(self):
-        # Only *provably* live values flag; the freeze-or-passthrough
-        # driver idiom stays legal.
-        src = (
-            "def submit(graph, use_freeze):\n"
-            "    read = freeze(graph) if use_freeze else graph\n"
-            "    return InlineSnapshot(read)\n"
-        )
-        assert lint_source(EXEC_PATH, src) == []
-
-    def test_driver_paths_checked_for_capture(self):
-        src = (
-            "def run(net):\n"
-            "    graph = SocialGraph.from_data(net)\n"
-            "    return InlineSnapshot(graph)\n"
-        )
-        assert slugs_at(lint_source(DRIVER_PATH, src)) == [
-            (3, "R7", "live-store-capture")
-        ]
-
-    def test_shared_state_rule_scoped_to_exec(self):
-        src = (
-            "RESULTS = []\n\n"
-            "def _run_bi(graph, context, n):\n"
-            "    RESULTS.append(n)\n\n"
-            'TASK_KINDS = {"bi": _run_bi}\n'
-        )
-        assert lint_source(PLAIN_PATH, src) == []
-
-
-# ---------------------------------------------------------------------------
 # Suppressions
 # ---------------------------------------------------------------------------
 
@@ -1057,18 +708,14 @@ class TestCli:
         assert proc.returncode == 1
         assert proc.stdout.startswith("::error file=")
 
-    def test_select_runs_only_named_families(self, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text("import random\n")
-        proc = run_cli(str(bad), "--select", "R6,R7", cwd=tmp_path)
-        assert proc.returncode == 0  # R1 finding filtered out
-
-    def test_select_unknown_family_exits_two(self, tmp_path):
+    def test_select_option_removed_exits_two(self, tmp_path):
+        """Every run uses every rule: a per-family subset made the
+        waiver audit report live waivers as dead."""
         clean = tmp_path / "clean.py"
         clean.write_text("x = 1\n")
-        proc = run_cli(str(clean), "--select", "R99", cwd=tmp_path)
+        proc = run_cli(str(clean), "--select", "R1", cwd=tmp_path)
         assert proc.returncode == 2
-        assert "unknown rule family" in proc.stderr
+        assert "--select" in proc.stderr
 
 
 def test_format_diagnostic_text():
@@ -1083,14 +730,6 @@ def test_format_diagnostic_text():
 
 def test_repository_src_is_clean():
     diags = lint_paths([str(REPO_ROOT / "src")])
-    assert diags == [], "\n".join(format_diagnostic(d) for d in diags)
-
-
-def test_repository_src_is_clean_under_flow_rules():
-    """R6/R7 alone find nothing: the tree honors the aliasing and
-    fork-safety invariants they mechanize (mirrors the R1–R5 meta-test,
-    and keeps a future regression's report readable)."""
-    diags = lint_paths([str(REPO_ROOT / "src")], rules_for(["R6", "R7"]))
     assert diags == [], "\n".join(format_diagnostic(d) for d in diags)
 
 
@@ -1132,27 +771,6 @@ class TestSpecTranscriptionsInSync:
         graph = SocialGraph()
         for name in RAW_STORE_COLLECTIONS:
             assert hasattr(graph, name), name
-
-    def test_frozen_column_families_match_frozen_annotations(self):
-        """R6's aliased-attribute table mirrors FrozenGraph's class-level
-        column annotations — the double-entry bookkeeping that catches a
-        new column family added on one side only."""
-        from repro.graph.frozen import FrozenGraph
-
-        annotated = {
-            name
-            for name in FrozenGraph.__annotations__
-            if name.startswith("_")
-        }
-        assert FROZEN_COLUMN_FAMILIES == annotated
-
-    def test_graph_view_classes_exist(self):
-        from repro.graph import delta, frozen, store
-
-        for name in GRAPH_VIEW_CLASSES:
-            assert any(
-                hasattr(module, name) for module in (store, frozen, delta)
-            ), name
 
     @pytest.mark.parametrize(
         "camel,snake",

@@ -31,7 +31,6 @@ from repro.exec import (
     Task,
 )
 from repro.exec.snapshot import (
-    ENV_COMPACT_FRACTION,
     ENV_FROZEN,
     ENV_MORSEL_SIZE,
     ENV_PROVIDER,
@@ -48,8 +47,7 @@ from repro.obs.metrics import registry
 
 @pytest.fixture()
 def clean_env(monkeypatch):
-    for name in (ENV_PROVIDER, ENV_FROZEN, ENV_COMPACT_FRACTION,
-                 ENV_MORSEL_SIZE):
+    for name in (ENV_PROVIDER, ENV_FROZEN, ENV_MORSEL_SIZE):
         monkeypatch.delenv(name, raising=False)
     return monkeypatch
 
@@ -65,12 +63,10 @@ class TestSnapshotConfig:
     def test_environment_fallbacks(self, clean_env):
         clean_env.setenv(ENV_PROVIDER, "mmap_file")
         clean_env.setenv(ENV_FROZEN, "0")
-        clean_env.setenv(ENV_COMPACT_FRACTION, "0.5")
         clean_env.setenv(ENV_MORSEL_SIZE, "1024")
         resolved = SnapshotConfig().resolved()
         assert resolved.provider == "mmap_file"
         assert resolved.freeze is False
-        assert resolved.compact_fraction == 0.5
         assert resolved.morsel_size == 1024
 
     def test_explicit_knobs_beat_environment(self, clean_env):
@@ -109,8 +105,12 @@ class TestSnapshotConfig:
     def test_compact_fraction_resolver_delegates_here(self, clean_env):
         from repro.graph.delta import resolve_compact_fraction
 
-        clean_env.setenv(ENV_COMPACT_FRACTION, "0.75")
-        assert resolve_compact_fraction(None) == 0.75
+        assert resolve_compact_fraction(0.75) == 0.75
+        assert resolve_compact_fraction(None) == (
+            SnapshotConfig().resolved().compact_fraction
+        )
+        with pytest.raises(ValueError):
+            resolve_compact_fraction(float("nan"))
 
 
 class TestProvideSnapshot:

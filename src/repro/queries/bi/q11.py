@@ -42,15 +42,21 @@ class Bi11Row(NamedTuple):
 def bi11(
     graph: SocialGraph, country: str, blacklist: Sequence[str]
 ) -> list[Bi11Row]:
-    """Run BI 11 for a country name and blacklisted words."""
-    country_id = graph.country_id(country)
-    country_persons = set(graph.persons_in_country(country_id))
+    """Run BI 11 for a country name and blacklisted words.
+
+    Join order (CP-2.1): the country's residents are few, so each one's
+    Comments come through the creator index rather than a scan of every
+    Comment filtered by creator country."""
+    residents = set(graph.persons_in_country(graph.country_id(country)))
     lowered = [word.lower() for word in blacklist]
 
     groups: dict[tuple[int, int], list[int]] = defaultdict(lambda: [0, 0])
-    for comment in scan_messages(graph, kind="comment"):
-        if comment.creator_id not in country_persons:
-            continue
+    comments = (
+        comment
+        for person_id in residents
+        for comment in scan_messages(graph, creator=person_id, kind="comment")
+    )
+    for comment in comments:
         parent = graph.parent_of(comment)
         if set(comment.tag_ids) & set(parent.tag_ids):
             continue  # related reply — excluded

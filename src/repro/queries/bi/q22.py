@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 from repro.graph.store import SocialGraph
 from repro.queries.bi.base import BiQueryInfo
-from repro.engine import scan_likes, scan_messages, sort_key, top_k
+from repro.engine import expand, scan_messages, sort_key, top_k
 
 INFO = BiQueryInfo(
     22,
@@ -49,9 +49,15 @@ class Bi22Row(NamedTuple):
 
 
 def bi22(graph: SocialGraph, country1: str, country2: str) -> list[Bi22Row]:
-    """Run BI 22 for two country names."""
+    """Run BI 22 for two country names.
+
+    Join order (CP-2.1): every scored reply and like has its author in
+    one of the two countries, so the Comments and likes are read per
+    resident (creator index, likes adjacency) instead of scanning all of
+    them and testing both endpoints."""
     persons1 = set(graph.persons_in_country(graph.country_id(country1)))
     persons2 = set(graph.persons_in_country(graph.country_id(country2)))
+    residents = persons1 | persons2
 
     replied: dict[tuple[int, int], bool] = defaultdict(bool)
     likes: dict[tuple[int, int], int] = defaultdict(int)
@@ -63,12 +69,12 @@ def bi22(graph: SocialGraph, country1: str, country2: str) -> list[Bi22Row]:
             return (b, a)
         return None
 
-    for comment in scan_messages(graph, kind="comment"):
-        target = graph.parent_of(comment).creator_id
-        pair = pair_of(comment.creator_id, target)
-        if pair is not None:
-            replied[(comment.creator_id, target)] = True
-    for like in scan_likes(graph):
+    for person_id in residents:
+        for comment in scan_messages(graph, creator=person_id, kind="comment"):
+            target = graph.parent_of(comment).creator_id
+            if pair_of(person_id, target) is not None:
+                replied[(person_id, target)] = True
+    for _, like in expand(residents, graph.likes_by_person):
         target = graph.message(like.message_id).creator_id
         pair = pair_of(like.person_id, target)
         if pair is not None:

@@ -37,17 +37,19 @@ class Bi23Row(NamedTuple):
 
 
 def bi23(graph: SocialGraph, country: str) -> list[Bi23Row]:
-    """Run BI 23 for a home country name."""
+    """Run BI 23 for a home country name.
+
+    Join order (CP-2.1): starts from the home country's few residents
+    and reads their Messages through the creator index."""
     home = graph.country_id(country)
     residents = set(graph.persons_in_country(home))
 
     groups: dict[tuple[int, int], int] = defaultdict(int)
-    for message in scan_messages(graph):
-        if message.creator_id not in residents:
-            continue
-        if message.country_id == home:
-            continue
-        groups[(message.country_id, month_of(message.creation_date))] += 1
+    for person_id in residents:
+        for message in scan_messages(graph, creator=person_id):
+            if message.country_id == home:
+                continue
+            groups[(message.country_id, month_of(message.creation_date))] += 1
 
     top = top_k(
         INFO.limit,

@@ -48,21 +48,34 @@ class Bi25Row(NamedTuple):
 
 
 def _pair_weights(
-    graph: SocialGraph, start_ts: int, end_ts: int
+    graph: SocialGraph,
+    pairs: set[tuple[int, int]],
+    start_ts: int,
+    end_ts: int,
 ) -> dict[tuple[int, int], float]:
-    """Interaction weight per unordered person pair within the window."""
+    """Interaction weight within the window of each unordered person
+    pair in ``pairs``.
+
+    Join order (CP-2.1): only Comments written by a person on one of
+    the pairs can weigh, so they come through the creator index with
+    the window as a residual — not from a scan of every windowed
+    Comment."""
     weights: dict[tuple[int, int], float] = defaultdict(float)
-    for comment in scan_messages(
-        graph, window=(start_ts, end_ts), kind="comment"
-    ):
-        parent = graph.parent_of(comment)
-        a, b = comment.creator_id, parent.creator_id
-        if a == b:
-            continue
-        pair = (min(a, b), max(a, b))
-        weights[pair] += (
-            POST_REPLY_WEIGHT if not parent.is_comment else COMMENT_REPLY_WEIGHT
-        )
+    persons = {person for pair in pairs for person in pair}
+    for a in persons:
+        for comment in scan_messages(
+            graph, creator=a, kind="comment", window=(start_ts, end_ts)
+        ):
+            parent = graph.parent_of(comment)
+            b = parent.creator_id
+            pair = (min(a, b), max(a, b))
+            if pair not in pairs:  # a self-reply's (a, a) is on no path
+                continue
+            weights[pair] += (
+                POST_REPLY_WEIGHT
+                if not parent.is_comment
+                else COMMENT_REPLY_WEIGHT
+            )
     return weights
 
 
@@ -77,8 +90,11 @@ def bi25(
     paths = all_shortest_paths(graph, person1_id, person2_id)
     if not paths:
         return []
+    pairs = {
+        (min(a, b), max(a, b)) for path in paths for a, b in zip(path, path[1:])
+    }
     weights = _pair_weights(
-        graph, date_to_datetime(start_date), date_to_datetime(end_date)
+        graph, pairs, date_to_datetime(start_date), date_to_datetime(end_date)
     )
     top = top_k(
         INFO.limit,

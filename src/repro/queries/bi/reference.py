@@ -21,6 +21,7 @@ implementations row-for-row on generated graphs.
 
 from __future__ import annotations
 
+import datetime as _dt
 from collections import Counter, defaultdict
 
 from repro.graph.store import SocialGraph
@@ -36,10 +37,14 @@ from repro.util.dates import (
     Date,
     MILLIS_PER_DAY,
     date_to_datetime,
-    month_of,
     months_between_inclusive,
-    year_of,
 )
+
+
+def _calendar_day(ts: int) -> _dt.date:
+    """The GMT calendar day of epoch millis, straight from ``datetime``
+    so that no calendar table is shared with the engine's helpers."""
+    return _dt.date(1970, 1, 1) + _dt.timedelta(days=ts // MILLIS_PER_DAY)
 
 
 def _all_messages(graph: SocialGraph) -> list:
@@ -81,7 +86,11 @@ def ref_bi1(graph: SocialGraph, date: Date) -> list[Bi1Row]:
             category = 2
         else:
             category = 3
-        key = (year_of(message.creation_date), message.is_comment, category)
+        key = (
+            _calendar_day(message.creation_date).year,
+            message.is_comment,
+            category,
+        )
         groups[key].append(message.length)
     rows = [
         Bi1Row(
@@ -162,7 +171,8 @@ def ref_bi13(graph: SocialGraph, country: str) -> list[Bi13Row]:
     for message in _all_messages(graph):
         if message.country_id != country_id:
             continue
-        key = (year_of(message.creation_date), month_of(message.creation_date))
+        day = _calendar_day(message.creation_date)
+        key = (day.year, day.month)
         months.add(key)
         for tag_id in message.tag_ids:
             by_month[key][graph.tags[tag_id].name] += 1

@@ -17,6 +17,7 @@ that day.
 from __future__ import annotations
 
 import datetime as _dt
+from bisect import bisect_right
 
 # Type aliases used in signatures across the code base.  A ``Date`` is a
 # day ordinal (days since 1970-01-01); a ``DateTime`` is epoch millis.
@@ -107,14 +108,27 @@ def parse_datetime(text: str) -> DateTime:
     )
 
 
+#: Midnight GMT of the first day of every month from January 1900
+#: through January 2101 (the exclusive end): one ``bisect_right`` finds
+#: a timestamp's month without building a ``datetime.date``.
+#: Timestamps outside the table take the ``datetime`` path.
+_MONTH_STARTS = [
+    make_datetime(year, month, 1)
+    for year in range(1900, 2101)
+    for month in range(1, 13)
+] + [make_datetime(2101, 1, 1)]
+#: The :func:`month_bucket` of ``_MONTH_STARTS[0]``.
+_FIRST_BUCKET = (1900 - 1970) * 12
+
+
 def year_of(ts: DateTime) -> int:
     """The spec's ``year(date)`` function (GMT)."""
-    return _as_date(datetime_to_date(ts)).year
+    return 1970 + month_bucket(ts) // 12
 
 
 def month_of(ts: DateTime) -> int:
     """The spec's ``month(date)`` function, 1-12 (GMT)."""
-    return _as_date(datetime_to_date(ts)).month
+    return month_bucket(ts) % 12 + 1
 
 
 def day_of(ts: DateTime) -> int:
@@ -129,6 +143,9 @@ def month_bucket(ts: DateTime) -> int:
     index: contiguous month buckets make window scans a range of bucket
     lookups instead of a full scan (choke point CP-3.2).
     """
+    index = bisect_right(_MONTH_STARTS, ts)
+    if 0 < index < len(_MONTH_STARTS):
+        return _FIRST_BUCKET + index - 1
     d = _as_date(datetime_to_date(ts))
     return (d.year - 1970) * 12 + (d.month - 1)
 

@@ -54,6 +54,11 @@ class TestPowerTest:
         for number in (1, 3, 4, 12, 24):
             stats = result.operator_stats[number]
             assert stats.get("index_scans", 0) > 0, f"BI {number}"
+        # The resident-first and path-first reads never scan a table.
+        for number in (11, 22, 23, 25):
+            stats = result.operator_stats[number]
+            assert stats.get("index_scans", 0) > 0, f"BI {number}"
+            assert stats.get("full_scans", 0) == 0, f"BI {number}"
         table = result.format_table()
         assert "rows_scanned=" in table and "power@SF" in table
 

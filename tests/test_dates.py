@@ -1,5 +1,7 @@
 """Unit tests for repro.util.dates (spec Table 2.1 formats)."""
 
+import datetime
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -162,3 +164,47 @@ class TestMonthBucket:
             dates.month_bucket(dates.make_datetime(2012, 1, 1))
             - dates.month_bucket(dates.make_datetime(2011, 1, 1))
         ) == 12
+
+
+def _calendar(ts):
+    """``(year, month, months since 1970-01)`` straight from ``datetime``
+    — the definitions the table-driven helpers must reproduce."""
+    day = datetime.date(1970, 1, 1) + datetime.timedelta(
+        days=ts // dates.MILLIS_PER_DAY
+    )
+    return day.year, day.month, (day.year - 1970) * 12 + (day.month - 1)
+
+
+def _helpers(ts):
+    return dates.year_of(ts), dates.month_of(ts), dates.month_bucket(ts)
+
+
+class TestCalendarTable:
+    """``year_of``/``month_of``/``month_bucket`` bisect a table of month
+    starts and fall back to ``datetime`` outside it; both paths must
+    agree with the ``datetime`` definitions everywhere."""
+
+    @given(
+        st.integers(
+            min_value=dates.make_datetime(1, 1, 1),
+            max_value=dates.make_datetime(9999, 12, 31, 23, 59, 59, 999),
+        )
+    )
+    def test_any_timestamp(self, ts):
+        assert _helpers(ts) == _calendar(ts)
+
+    @given(
+        st.integers(
+            min_value=dates._MONTH_STARTS[0] - 50 * dates.MILLIS_PER_DAY,
+            max_value=dates._MONTH_STARTS[-1] + 50 * dates.MILLIS_PER_DAY,
+        )
+    )
+    def test_table_range_and_its_edges(self, ts):
+        assert _helpers(ts) == _calendar(ts)
+
+    def test_every_month_boundary(self):
+        """±1 ms around every month start in the table, its first and
+        last entries (where the fallback takes over) included."""
+        for start in dates._MONTH_STARTS:
+            for ts in (start - 1, start, start + 1):
+                assert _helpers(ts) == _calendar(ts), ts

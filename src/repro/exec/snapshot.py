@@ -5,11 +5,11 @@ receives graph state through one typed surface:
 
 * :class:`SnapshotConfig` — the declarative knobs (provider, freeze,
   compaction fraction, morsel size), threaded through ``RunRequest``
-  and both drivers.  Environment variables (``REPRO_SNAPSHOT_PROVIDER``,
-  ``REPRO_FROZEN``, ``REPRO_MORSEL_SIZE``) are documented fallbacks
-  parsed in exactly one place: :meth:`SnapshotConfig.resolved`.  The
-  compaction fraction has no environment fallback: it is an argument
-  (default 0.25).
+  and both drivers.  Two environment variables
+  (``REPRO_SNAPSHOT_PROVIDER``, ``REPRO_MORSEL_SIZE``) are documented
+  fallbacks parsed in exactly one place: :meth:`SnapshotConfig.resolved`.
+  ``freeze`` (default on) and the compaction fraction (default 0.25)
+  have no environment fallback: they are arguments.
 * :class:`SnapshotHandle` — the protocol every provider implements: a
   ``graph``, a ``context`` dict for task runners, ``ship()`` to cross a
   process boundary, ``bytes_mapped()`` and ``close()``.
@@ -20,7 +20,7 @@ receives graph state through one typed surface:
   :func:`provide_snapshot` picks one from a config.
 
 The mapped provider serializes a frozen graph completely into the
-snapfile (format v2, :mod:`repro.graph.snapfile`): column families
+snapfile (format v3, :mod:`repro.graph.snapfile`): column families
 attach back as zero-copy ``memoryview`` casts over the shared buffer,
 and the file's entity section lets a worker rebuild the entity store
 from the same bytes — so ``ship()`` returns a token of buffer
@@ -56,7 +56,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.graph.store import SocialGraph
 
 __all__ = [
-    "ENV_FROZEN",
     "ENV_MORSEL_SIZE",
     "ENV_PROVIDER",
     "PROVIDERS",
@@ -72,13 +71,10 @@ __all__ = [
 ]
 
 ENV_PROVIDER = "REPRO_SNAPSHOT_PROVIDER"
-ENV_FROZEN = "REPRO_FROZEN"
 ENV_MORSEL_SIZE = "REPRO_MORSEL_SIZE"
 
 #: Recognized snapshot providers, in documentation order.
 PROVIDERS = ("inline", "mmap_file")
-
-_FALSY = ("0", "false", "no", "off", "")
 
 
 @dataclass(frozen=True)
@@ -88,7 +84,8 @@ class SnapshotConfig:
     place the snapshot environment variables are parsed.
 
     ``provider`` picks how process workers obtain graph state;
-    ``freeze`` whether drivers freeze the live store for read phases;
+    ``freeze`` whether drivers freeze the live store for read phases
+    (default on, no environment fallback);
     ``compact_fraction`` the delta-overlay compaction threshold
     (default 0.25, no environment fallback);
     ``morsel_size`` enables morsel-driven intra-query parallelism for
@@ -115,12 +112,7 @@ class SnapshotConfig:
                 f"unknown snapshot provider {provider!r}; "
                 f"expected one of {', '.join(PROVIDERS)}"
             )
-        freeze = self.freeze
-        if freeze is None:
-            raw = os.environ.get(ENV_FROZEN)
-            freeze = True if raw is None else (
-                raw.strip().lower() not in _FALSY
-            )
+        freeze = True if self.freeze is None else self.freeze
         fraction = self.compact_fraction
         if fraction is None:
             fraction = 0.25

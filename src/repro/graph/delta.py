@@ -392,18 +392,6 @@ class OverlaidGraph(FrozenGraph):
             return self._post_language[self._root_ord[ordinal]]
         return SocialGraph.language_of_message(self, message)
 
-    def thread_messages(self, post: Post) -> Iterator[Message]:
-        overlay = self.delta_overlay
-        if (
-            overlay.dirty("comments")
-            or overlay.dirty("posts")
-            or post.id not in self._msg_ord
-        ):
-            # Any message churn can grow or shrink a thread; the live
-            # walk over the shared ``_replies_of`` index is current.
-            return SocialGraph.thread_messages(self, post)
-        return FrozenGraph.thread_messages(self, post)
-
     def country_of_person(self, person_id: int) -> int:
         ordinal = self._person_ord.get(person_id)
         if ordinal is not None and not self.delta_overlay.person_gone(

@@ -10,18 +10,21 @@ brings that layout to the reproduction without leaving pure Python:
   indexes by reference (freezing copies nothing heavy) and adds
   columnar read structures on top:
 
-  - dense id -> ordinal remapping for persons, forums and messages
-    (posts occupy ordinals ``[0, P)``, comments ``[P, P+C)``);
-  - ``array('q')``-backed CSR adjacency for the knows, likes,
-    membership, reply and forum-post edge sets;
+  - dense id -> ordinal remapping for persons and messages (posts
+    occupy ordinals ``[0, P)``, comments ``[P, P+C)``) and a sorted
+    forum id column the engine's forum morsels slice;
+  - ``array('q')``-backed CSR adjacency for the knows edges;
   - int64 epoch-millisecond date columns parallel to the
     ``(creationDate, id)``-sorted message lists, so window predicates
     bisect a flat array instead of probing month buckets;
   - a precomputed root-post column (``replyOf*`` transitive closure),
-    making :meth:`FrozenGraph.root_post_of` O(1) and
-    :meth:`FrozenGraph.thread_messages` a contiguous slice;
-  - dictionary-encoded, ``sys.intern``-ed string columns
-    (:class:`StringColumn`) for the low-cardinality text attributes.
+    making :meth:`FrozenGraph.root_post_of` O(1);
+  - a dictionary-encoded, ``sys.intern``-ed post language column
+    (:class:`StringColumn`) plus the comments' root-language codes.
+
+  Every column is read by an accessor or an engine operator; a family
+  nothing reads is not built (``tests/test_snapfile.py`` records the
+  reads of every query and fails on a write-only column).
 
 * :func:`freeze` — build a snapshot and publish per-column-family
   footprint gauges (``repro_frozen_bytes``) to the metrics registry;
@@ -33,9 +36,7 @@ brings that layout to the reproduction without leaving pure Python:
   :class:`~repro.graph.delta.OverlaidGraph` merge view (small
   overlay), or a freshly compacted snapshot (overlay past the
   threshold fraction of the base row count) — never a per-write
-  refreeze.  (The ``freeze`` knob default — ``REPRO_FROZEN`` — is
-  resolved by :meth:`repro.exec.snapshot.SnapshotConfig.resolved`, the
-  single environment-parse point.)
+  refreeze.
 
 Because the snapshot shares the live store's tables, a bare
 :class:`FrozenGraph`'s validity contract is strict: **any write to the
@@ -101,8 +102,8 @@ def _array_bytes(values: "array | memoryview") -> int:
 
 class StringColumn:
     """A dictionary-encoded string column: ``array('i')`` codes over an
-    interned dictionary.  Low-cardinality attributes (language, browser,
-    gender) compress to 4 bytes per row, and ``sys.intern`` makes every
+    interned dictionary.  A low-cardinality attribute (the post
+    language) compresses to 4 bytes per row, and ``sys.intern`` makes every
     repeated value one shared object, so downstream equality checks are
     pointer comparisons."""
 
@@ -139,7 +140,7 @@ class FrozenGraph(SocialGraph):
     contract); everything below is built at freeze time.  The hot-path
     accessors the engine and the queries hit per row —
     ``messages_with_tag_in_window``, ``posts_in_forum_window``,
-    ``root_post_of``, ``thread_messages``, ``country_of_person`` — are
+    ``root_post_of``, ``language_of_message``, ``country_of_person`` — are
     overridden to serve from the columns; everything else inherits the
     live implementations over the shared indexes.
     """
@@ -158,7 +159,6 @@ class FrozenGraph(SocialGraph):
     _person_country: array
     _knows_offsets: array
     _knows_targets: array
-    _knows_dates: array
     _post_objs: list[Post]
     _post_dates: array
     _comment_objs: list[Comment]
@@ -166,20 +166,7 @@ class FrozenGraph(SocialGraph):
     _msg_objs: list[Message]
     _msg_ord: dict[int, int]
     _root_ord: array
-    _reply_offsets: array
-    _reply_targets: array
-    _thread_offsets: array
-    _thread_members: array
-    _likes_offsets: array
-    _likes_person: array
-    _likes_dates: array
     _forum_ids: array
-    _forum_ord: dict[int, int]
-    _member_offsets: array
-    _member_person: array
-    _member_dates: array
-    _forum_post_offsets: array
-    _forum_post_targets: array
     _forum_post_objs: dict[int, list[Post]]
     _forum_post_date_cols: dict[int, array]
     _tag_objs: dict[int, list[Message]]
@@ -188,10 +175,6 @@ class FrozenGraph(SocialGraph):
     _lang_code_of: dict[str, int]
     _country_persons: dict[int, list[int]]
     _post_language: StringColumn
-    _post_browser: StringColumn
-    _comment_browser: StringColumn
-    _person_gender: StringColumn
-    _person_browser: StringColumn
 
     @collector_paused()
     def __init__(self, source: SocialGraph):
@@ -277,7 +260,6 @@ class FrozenGraph(SocialGraph):
         dictionary index, from the (built or mapped) columns plus the
         shared index structures."""
         self._person_ord = {pid: i for i, pid in enumerate(self._person_ids)}
-        self._forum_ord = {fid: i for i, fid in enumerate(self._forum_ids)}
         posts = self.posts
         self._forum_post_objs = {
             fid: [posts[mid] for _, mid in self._forum_posts_by_date[fid]]
@@ -310,8 +292,7 @@ class FrozenGraph(SocialGraph):
     def _build_columns(self) -> None:
         self._build_person_columns()
         self._build_message_columns()
-        self._build_reply_columns()
-        self._build_likes_columns()
+        self._build_root_columns()
         self._build_forum_columns()
         self._build_tag_columns()
 
@@ -319,25 +300,19 @@ class FrozenGraph(SocialGraph):
         person_ids = array("q", sorted(self.persons))
         offsets = array("q", [0])
         targets = array("q")
-        dates = array("q")
         country = array("q")
         persons = self.persons
         places = self.places
         for pid in person_ids:
             row = self._friends.get(pid)
             if row:
-                targets.extend(row.keys())
-                dates.extend(row.values())
+                targets.extend(row)
             offsets.append(len(targets))
             country.append(places[persons[pid].city_id].part_of)
         self._person_ids = person_ids
         self._knows_offsets = offsets
         self._knows_targets = targets
-        self._knows_dates = dates
         self._person_country = country
-        ordered = [persons[pid] for pid in person_ids]
-        self._person_gender = StringColumn(p.gender for p in ordered)
-        self._person_browser = StringColumn(p.browser_used for p in ordered)
 
     def _build_message_columns(self) -> None:
         post_objs = self._post_objs
@@ -347,24 +322,11 @@ class FrozenGraph(SocialGraph):
             "q", (c.creation_date for c in comment_objs)
         )
         self._post_language = StringColumn(p.language for p in post_objs)
-        self._post_browser = StringColumn(p.browser_used for p in post_objs)
-        self._comment_browser = StringColumn(
-            c.browser_used for c in comment_objs
-        )
 
-    def _build_reply_columns(self) -> None:
+    def _build_root_columns(self) -> None:
         msg_ord = self._msg_ord
         msg_objs = self._msg_objs
         posts = len(self._post_objs)
-        # Direct reply CSR over combined message ordinals.
-        offsets = array("q", [0])
-        targets = array("q")
-        for message in msg_objs:
-            for reply in self._replies_of.get(message.id, ()):
-                targets.append(msg_ord[reply.id])
-            offsets.append(len(targets))
-        self._reply_offsets = offsets
-        self._reply_targets = targets
         # Root-post column: replyOf* resolved bottom-up with memoization.
         root_of_id: dict[int, int] = {}
         comments = self.comments
@@ -400,58 +362,16 @@ class FrozenGraph(SocialGraph):
                 for ordinal in range(posts, len(msg_objs))
             ),
         )
-        # Thread closure CSR: post ordinal -> [post, *comment ordinals].
-        members: list[list[int]] = [[p] for p in range(posts)]
-        for ordinal in range(posts, len(msg_objs)):
-            members[root_ord[ordinal]].append(ordinal)
-        thread_offsets = array("q", [0])
-        thread_members = array("q")
-        for row in members:
-            thread_members.extend(row)
-            thread_offsets.append(len(thread_members))
-        self._thread_offsets = thread_offsets
-        self._thread_members = thread_members
-
-    def _build_likes_columns(self) -> None:
-        offsets = array("q", [0])
-        person = array("q")
-        dates = array("q")
-        likes_of = self._likes_of_message
-        for message in self._msg_objs:
-            for like in likes_of.get(message.id, ()):
-                person.append(like.person_id)
-                dates.append(like.creation_date)
-            offsets.append(len(person))
-        self._likes_offsets = offsets
-        self._likes_person = person
-        self._likes_dates = dates
 
     def _build_forum_columns(self) -> None:
         forum_ids = array("q", sorted(self.forums))
         self._forum_ids = forum_ids
-        member_offsets = array("q", [0])
-        member_person = array("q")
-        member_dates = array("q")
-        post_offsets = array("q", [0])
-        post_targets = array("q")
-        forum_post_dates: dict[int, array] = {}
-        msg_ord = self._msg_ord
-        for fid in forum_ids:
-            for membership in self._members_of_forum.get(fid, ()):
-                member_person.append(membership.person_id)
-                member_dates.append(membership.join_date)
-            member_offsets.append(len(member_person))
-            dated = self._forum_posts_by_date.get(fid, ())
-            if dated:
-                forum_post_dates[fid] = array("q", (d for d, _ in dated))
-                post_targets.extend(msg_ord[mid] for _, mid in dated)
-            post_offsets.append(len(post_targets))
-        self._member_offsets = member_offsets
-        self._member_person = member_person
-        self._member_dates = member_dates
-        self._forum_post_offsets = post_offsets
-        self._forum_post_targets = post_targets
-        self._forum_post_date_cols = forum_post_dates
+        dated_of = self._forum_posts_by_date
+        self._forum_post_date_cols = {
+            fid: array("q", (d for d, _ in dated_of[fid]))
+            for fid in forum_ids
+            if dated_of.get(fid)
+        }
 
     def _build_tag_columns(self) -> None:
         self._tag_dates = {
@@ -530,14 +450,6 @@ class FrozenGraph(SocialGraph):
         # (a Post is its own root), skipping the root object entirely.
         return self._post_language[self._root_ord[self._msg_ord[message.id]]]
 
-    def thread_messages(self, post: Post) -> Iterator[Message]:
-        ordinal = self._msg_ord[post.id]
-        lo = self._thread_offsets[ordinal]
-        hi = self._thread_offsets[ordinal + 1]
-        objs = self._msg_objs
-        for member in self._thread_members[lo:hi]:
-            yield objs[member]
-
     def country_of_person(self, person_id: int) -> int:
         return self._person_country[self._person_ord[person_id]]
 
@@ -553,22 +465,9 @@ class FrozenGraph(SocialGraph):
             "person_columns": _array_bytes(self._person_ids)
             + _array_bytes(self._person_country),
             "knows_csr": _array_bytes(self._knows_offsets)
-            + _array_bytes(self._knows_targets)
-            + _array_bytes(self._knows_dates),
-            "likes_csr": _array_bytes(self._likes_offsets)
-            + _array_bytes(self._likes_person)
-            + _array_bytes(self._likes_dates),
-            "membership_csr": _array_bytes(self._member_offsets)
-            + _array_bytes(self._member_person)
-            + _array_bytes(self._member_dates),
-            "reply_csr": _array_bytes(self._reply_offsets)
-            + _array_bytes(self._reply_targets)
-            + _array_bytes(self._root_ord)
-            + _array_bytes(self._thread_offsets)
-            + _array_bytes(self._thread_members),
-            "forum_post_csr": _array_bytes(self._forum_post_offsets)
-            + _array_bytes(self._forum_post_targets)
-            + _array_bytes(self._forum_ids),
+            + _array_bytes(self._knows_targets),
+            "root_column": _array_bytes(self._root_ord),
+            "forum_columns": _array_bytes(self._forum_ids),
             "date_columns": _array_bytes(self._post_dates)
             + _array_bytes(self._comment_dates)
             + sum(_array_bytes(a) for a in self._tag_dates.values())
@@ -577,10 +476,6 @@ class FrozenGraph(SocialGraph):
                 for a in self._forum_post_date_cols.values()
             ),
             "string_columns": self._post_language.nbytes()
-            + self._post_browser.nbytes()
-            + self._comment_browser.nbytes()
-            + self._person_gender.nbytes()
-            + self._person_browser.nbytes()
             + _array_bytes(self._comment_root_lang),
         }
 

@@ -4,7 +4,7 @@ The frozen columnar layout (:mod:`repro.graph.frozen`) is a set of flat
 ``array('q')``/``array('i')`` slabs plus dictionary-encoded string
 columns — exactly the shapes that serialize to raw bytes and attach
 back as zero-copy ``memoryview`` casts over an ``mmap``.  This module
-defines that byte layout (format v2) and the write/attach halves:
+defines that byte layout (format v3) and the write/attach halves:
 
 * :func:`write_snapshot` — serialize every column family of a frozen
   graph into one self-describing blob;
@@ -18,7 +18,7 @@ probe, which is written native on purpose)::
 
     offset  size  field
     0       4     magic  b"RSNB"
-    4       2     format version (currently 2)
+    4       2     format version (currently 3)
     6       2     flags (reserved, 0)
     8       8     byte-order probe: native int64 0x0102030405060708
     16      8     TOC offset
@@ -27,13 +27,13 @@ probe, which is written native on purpose)::
     toc     ...   JSON table of contents
 
 The TOC records every section's ``(name, typecode, itemsize, offset,
-nbytes, count)`` plus the five string-column dictionaries and snapshot
+nbytes, count)`` plus the string-column dictionary and snapshot
 metadata (``frozen_at_version``).  Column bytes are written in the
 machine's native byte order — a snapshot is an IPC artifact between
 processes of one host, not an interchange format — and the probe makes
 a cross-endian open fail loudly instead of returning garbage rows.
 
-Format v2 makes the file *self-contained*: besides the column sections
+The file is *self-contained*: besides the column sections
 it carries one required ``__entities__`` section (typecode ``B``) — a
 compact JSON encoding of every entity and relation row, written in
 replayable order (dimension tables first, then entities before the
@@ -46,6 +46,10 @@ plus the mapped columns — so a ``spawn`` worker cold-starts from the
 mapped bytes alone, with no object-state pickle crossing the ship
 boundary.  (The in-process parent attach needs neither: it is
 ``FrozenGraph.with_columns`` over the snapshot that was written.)
+
+The section set is the format: it carries exactly the columns some
+accessor or engine operator reads, and only the current version is
+readable — a snapfile is written per run, never archived.
 """
 
 from __future__ import annotations
@@ -90,9 +94,9 @@ __all__ = [
 ]
 
 MAGIC = b"RSNB"
-VERSION = 2
+VERSION = 3
 
-#: Name of the required v2 entity section: the canonical JSON encoding
+#: Name of the required entity section: the canonical JSON encoding
 #: of every entity/relation row, replayed by :func:`rebuild_store`.
 ENTITY_SECTION = "__entities__"
 
@@ -110,27 +114,18 @@ HEADER_SIZE = 32
 
 #: Flat array-valued column attributes of :class:`FrozenGraph`, in file
 #: order.  Everything here is ``array('q')`` except the root-language
-#: code column, which shares the ``array('i')`` width of the string
-#: dictionaries' code columns.
+#: code column, which shares the ``array('i')`` width of the language
+#: column's codes.
 FLAT_COLUMNS: tuple[str, ...] = (
     "_person_ids", "_person_country",
-    "_knows_offsets", "_knows_targets", "_knows_dates",
+    "_knows_offsets", "_knows_targets",
     "_post_dates", "_comment_dates",
-    "_root_ord", "_reply_offsets", "_reply_targets",
-    "_thread_offsets", "_thread_members",
-    "_likes_offsets", "_likes_person", "_likes_dates",
-    "_forum_ids",
-    "_member_offsets", "_member_person", "_member_dates",
-    "_forum_post_offsets", "_forum_post_targets",
-    "_comment_root_lang",
+    "_root_ord", "_forum_ids", "_comment_root_lang",
 )
 
 #: Dictionary-encoded string columns: codes are mapped, dictionaries
 #: ride in the TOC (small, interned on attach).
-STRING_COLUMNS: tuple[str, ...] = (
-    "_post_language", "_post_browser", "_comment_browser",
-    "_person_gender", "_person_browser",
-)
+STRING_COLUMNS: tuple[str, ...] = ("_post_language",)
 
 #: ``dict[int, array('q')]`` column families, serialized as three
 #: parallel sections: sorted keys, CSR offsets, concatenated values.
@@ -328,7 +323,7 @@ def write_snapshot(
     graph: FrozenGraph, stream: BinaryIO, *, overlay: Any = None
 ) -> int:
     """Serialize ``graph``'s column families plus the entity section
-    into ``stream`` (format v2); returns the number of section bytes
+    into ``stream`` (format v3); returns the number of section bytes
     written (the size a reader will map, excluding header and TOC).
     ``overlay`` (the owning manager's delta overlay, when the base is
     serialized under a dirty manager) keeps post-freeze inserts out of
@@ -446,32 +441,53 @@ def _validate_header(view: memoryview) -> tuple[int, int]:
     return toc_offset, toc_length
 
 
+def _toc_entries(toc: Any) -> tuple[list[tuple[Any, ...]], int]:
+    """The TOC's section rows as ``(name, typecode, itemsize, offset,
+    nbytes)`` tuples plus its ``frozen_at_version`` — or a
+    :class:`SnapshotFormatError` when the TOC is not an object, or it or
+    one of its sections lacks a field."""
+    try:
+        entries = [
+            (s["name"], s["typecode"], s["itemsize"], s["offset"], s["nbytes"])
+            for s in toc["sections"]
+        ]
+        return entries, int(toc["meta"]["frozen_at_version"])
+    except (KeyError, TypeError, ValueError) as error:
+        raise SnapshotFormatError(
+            f"corrupt snapshot: malformed TOC ({type(error).__name__}: "
+            f"{error})"
+        ) from error
+
+
 def _section_views(
-    view: memoryview, toc: dict[str, Any], toc_offset: int
+    view: memoryview, entries: list[tuple[Any, ...]], toc_offset: int
 ) -> dict[str, memoryview]:
     views: dict[str, memoryview] = {}
-    for section in toc["sections"]:
-        offset, nbytes = section["offset"], section["nbytes"]
-        typecode = section["typecode"]
-        itemsize = array(typecode).itemsize
-        if itemsize != section["itemsize"]:
+    for name, typecode, declared, offset, nbytes in entries:
+        try:
+            itemsize = array(typecode).itemsize
+        except (TypeError, ValueError) as error:
             raise SnapshotFormatError(
-                f"section {section['name']!r}: itemsize "
-                f"{section['itemsize']} does not match this host's "
-                f"'{typecode}' width {itemsize}"
+                f"corrupt snapshot: section {name!r} has unknown typecode "
+                f"{typecode!r}"
+            ) from error
+        if itemsize != declared:
+            raise SnapshotFormatError(
+                f"section {name!r}: itemsize {declared} does not match "
+                f"this host's '{typecode}' width {itemsize}"
             )
         if offset < HEADER_SIZE or offset + nbytes > toc_offset:
             raise SnapshotFormatError(
-                f"corrupt snapshot: section {section['name']!r} "
+                f"corrupt snapshot: section {name!r} "
                 f"[{offset}, {offset + nbytes}) falls outside the data "
                 f"region [{HEADER_SIZE}, {toc_offset})"
             )
         if nbytes % itemsize:
             raise SnapshotFormatError(
-                f"corrupt snapshot: section {section['name']!r} length "
+                f"corrupt snapshot: section {name!r} length "
                 f"{nbytes} is not a multiple of itemsize {itemsize}"
             )
-        views[section["name"]] = view[offset : offset + nbytes].cast(typecode)
+        views[name] = view[offset : offset + nbytes].cast(typecode)
     return views
 
 
@@ -480,7 +496,8 @@ def attach(buffer: Any) -> AttachedColumns:
     column families.
 
     Raises :class:`SnapshotFormatError` on bad magic, an unsupported
-    version, an endianness mismatch, or a truncated/corrupt layout.
+    version, an endianness mismatch, a malformed TOC, or a
+    truncated/corrupt layout.
     """
     view = memoryview(buffer)
     toc_offset, toc_length = _validate_header(view)
@@ -490,7 +507,8 @@ def attach(buffer: Any) -> AttachedColumns:
         raise SnapshotFormatError(
             f"corrupt snapshot: TOC is not valid JSON ({error})"
         ) from error
-    sections = _section_views(view, toc, toc_offset)
+    entries, frozen_at_version = _toc_entries(toc)
+    sections = _section_views(view, entries, toc_offset)
     columns: dict[str, Any] = {}
     try:
         for attr in FLAT_COLUMNS:
@@ -518,8 +536,8 @@ def attach(buffer: Any) -> AttachedColumns:
         ) from error
     return AttachedColumns(
         columns=columns,
-        bytes_mapped=sum(s["nbytes"] for s in toc["sections"]),
-        frozen_at_version=int(toc["meta"]["frozen_at_version"]),
+        bytes_mapped=sum(entry[4] for entry in entries),
+        frozen_at_version=frozen_at_version,
         entities=entities,
     )
 

@@ -62,16 +62,14 @@ class TestColumnIntegrity:
     def test_knows_csr_matches_friends_index(self, frozen_tiny):
         offsets = frozen_tiny._knows_offsets
         targets = frozen_tiny._knows_targets
-        dates = frozen_tiny._knows_dates
         assert list(offsets) == sorted(offsets)  # monotone
-        assert offsets[-1] == len(targets) == len(dates)
+        assert offsets[-1] == len(targets)
         # Undirected edges appear once per endpoint row.
         assert len(targets) == 2 * len(frozen_tiny.knows_edges)
         for i, pid in enumerate(frozen_tiny._person_ids):
             row = frozen_tiny._friends.get(pid, {})
             lo, hi = offsets[i], offsets[i + 1]
             assert list(targets[lo:hi]) == list(row.keys())
-            assert list(dates[lo:hi]) == list(row.values())
 
     def test_message_columns_sorted_by_date_then_id(self, frozen_tiny):
         for _kind, objs, dates, _codes in frozen_tiny.message_slabs(None):
@@ -152,8 +150,8 @@ class TestColumnIntegrity:
 
 class TestFootprint:
     FAMILIES = (
-        "person_columns", "knows_csr", "likes_csr", "membership_csr",
-        "reply_csr", "forum_post_csr", "date_columns", "string_columns",
+        "person_columns", "knows_csr", "root_column", "forum_columns",
+        "date_columns", "string_columns",
     )
 
     def test_families_present_and_positive(self, frozen_tiny):
@@ -250,21 +248,19 @@ class TestFreezeLifecycle:
 
 
 class TestResolveFreeze:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FROZEN", "0")
+    def test_explicit_wins(self):
         assert SnapshotConfig(freeze=True).resolved().freeze is True
         assert SnapshotConfig(freeze=False).resolved().freeze is False
 
-    def test_env_default_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FROZEN", raising=False)
+    def test_default_on(self):
         assert SnapshotConfig().resolved().freeze is True
 
-    def test_env_falsy_values(self, monkeypatch):
-        for value in ("0", "false", "No", " OFF ", ""):
-            monkeypatch.setenv("REPRO_FROZEN", value)
-            assert SnapshotConfig().resolved().freeze is False
-        monkeypatch.setenv("REPRO_FROZEN", "1")
+    def test_environment_variable_is_ignored(self, monkeypatch):
+        """``freeze`` is an argument only: the retired ``REPRO_FROZEN``
+        variable no longer turns the snapshot off."""
+        monkeypatch.setenv("REPRO_FROZEN", "0")
         assert SnapshotConfig().resolved().freeze is True
+        assert SnapshotConfig(freeze=False).resolved().freeze is False
 
 
 class TestPowerTestParity:

@@ -133,7 +133,6 @@ def _snapshot_digest() -> tuple[str, int]:
     digest = hashlib.sha1(
         graph._knows_offsets.tobytes()
         + graph._knows_targets.tobytes()
-        + graph._knows_dates.tobytes()
     ).hexdigest()
     return digest, os.getpid()
 

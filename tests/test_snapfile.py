@@ -1,9 +1,10 @@
 """The on-disk snapshot format (:mod:`repro.graph.snapfile`).
 
-Pins down the v1 contract: byte-identical round-trips for every column
-family, strict header validation (magic, version, endianness, layout
-bounds), and clean errors on truncated buffers — a worker must never
-operate on a silently-corrupt mapping.
+Pins down the format contract: byte-identical round-trips for every
+column family, strict header and TOC validation (magic, version,
+endianness, TOC shape, layout bounds), clean errors on truncated
+buffers — a worker must never operate on a silently-corrupt mapping —
+and that every serialized column is one some read actually uses.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import struct
 
 import pytest
 
-from repro.engine import scan_messages
+from repro.engine import expand, scan_messages
 from repro.graph.frozen import FrozenGraph, freeze
 from repro.graph.snapfile import (
     FLAT_COLUMNS,
@@ -29,12 +30,49 @@ from repro.graph.snapfile import (
     rebuild_store,
     write_snapshot,
 )
+from repro.params.curation import ParameterGenerator
+from repro.queries.bi import ALL_QUERIES
+from repro.queries.interactive.complex import ALL_COMPLEX
+from repro.queries.interactive.short import ALL_SHORT
+
+from tests.test_delta_overlay import _run_query
 
 
 def snapshot_bytes(graph: FrozenGraph) -> bytes:
     stream = io.BytesIO()
     write_snapshot(graph, stream)
     return stream.getvalue()
+
+
+def with_toc(blob: bytes, edit) -> bytes:
+    """``blob`` with its JSON TOC replaced by ``edit(toc)`` (the header's
+    TOC pointer patched to match)."""
+    toc_offset, toc_length = struct.unpack_from("<QQ", blob, 16)
+    toc = json.loads(blob[toc_offset : toc_offset + toc_length])
+    payload = json.dumps(edit(toc)).encode("utf-8")
+    mutated = bytearray(blob[:toc_offset] + payload)
+    struct.pack_into("<QQ", mutated, 16, toc_offset, len(payload))
+    return bytes(mutated)
+
+
+def _edit_sections(toc, edit):
+    return {**toc, "sections": [edit(s) for s in toc["sections"]]}
+
+
+#: TOC corruptions ``attach`` must reject as a format error rather than
+#: leak the ``TypeError``/``KeyError``/``ValueError`` of decoding them.
+MALFORMED_TOCS = {
+    "toc-is-a-list": lambda toc: toc["sections"],
+    "no-sections": lambda toc: {
+        key: value for key, value in toc.items() if key != "sections"
+    },
+    "section-without-offset": lambda toc: _edit_sections(
+        toc, lambda s: {k: v for k, v in s.items() if k != "offset"}
+    ),
+    "unknown-typecode": lambda toc: _edit_sections(
+        toc, lambda s: {**s, "typecode": "Z"}
+    ),
+}
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +177,13 @@ class TestHeaderValidation:
     def test_magic_constant_leads_the_file(self, blob):
         assert blob[:4] == MAGIC
 
+    @pytest.mark.parametrize(
+        "edit", list(MALFORMED_TOCS.values()), ids=list(MALFORMED_TOCS)
+    )
+    def test_malformed_toc_rejected(self, blob, edit):
+        with pytest.raises(SnapshotFormatError):
+            attach(with_toc(blob, edit))
+
 
 class TestMappedFile:
     def test_open_snapshot_round_trips(self, frozen, blob, tmp_path):
@@ -198,3 +243,43 @@ class TestLiveViewsRejected:
             assert snapshot_bytes(base)
         finally:
             manager.detach()
+
+
+class TestEverySerializedColumnIsRead:
+    """The file carries exactly the columns a read uses: a column no
+    accessor or operator reads is build and serialization cost for
+    nothing, so it fails here until it is deleted."""
+
+    def test_every_serialized_column_is_read(self, tiny_graph, tiny_config):
+        reads: set[str] = set()
+
+        class RecordingGraph(FrozenGraph):
+            def __getattribute__(self, name):
+                reads.add(name)
+                return super().__getattribute__(name)
+
+        params = ParameterGenerator(tiny_graph, tiny_config)
+        persons = params.person_ids(2)
+        messages = [*sorted(tiny_graph.posts)[:2],
+                    *sorted(tiny_graph.comments)[:2]]
+        snapshot = freeze(tiny_graph)
+        # Swapped in after the freeze, so the freeze's own reads
+        # (``_derive_lookups``) do not count — only queries' and
+        # operators' do.
+        snapshot.__class__ = RecordingGraph
+        for number, (query, _) in sorted(ALL_QUERIES.items()):
+            for binding in params.bi(number, count=2):
+                _run_query(query, snapshot, binding)
+        for number, (query, _) in sorted(ALL_COMPLEX.items()):
+            for binding in params.interactive(number, count=2):
+                _run_query(query, snapshot, binding)
+        for number, (query, _) in sorted(ALL_SHORT.items()):
+            for entity_id in persons if number <= 3 else messages:
+                _run_query(query, snapshot, (entity_id,))
+        list(expand(persons, snapshot.friends_of))
+        unread = [
+            name
+            for name in FLAT_COLUMNS + STRING_COLUMNS + KEYED_COLUMNS
+            if name not in reads
+        ]
+        assert unread == []

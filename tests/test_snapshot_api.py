@@ -31,7 +31,6 @@ from repro.exec import (
     Task,
 )
 from repro.exec.snapshot import (
-    ENV_FROZEN,
     ENV_MORSEL_SIZE,
     ENV_PROVIDER,
     InlineSnapshot,
@@ -47,7 +46,7 @@ from repro.obs.metrics import registry
 
 @pytest.fixture()
 def clean_env(monkeypatch):
-    for name in (ENV_PROVIDER, ENV_FROZEN, ENV_MORSEL_SIZE):
+    for name in (ENV_PROVIDER, ENV_MORSEL_SIZE):
         monkeypatch.delenv(name, raising=False)
     return monkeypatch
 
@@ -62,19 +61,17 @@ class TestSnapshotConfig:
 
     def test_environment_fallbacks(self, clean_env):
         clean_env.setenv(ENV_PROVIDER, "mmap_file")
-        clean_env.setenv(ENV_FROZEN, "0")
         clean_env.setenv(ENV_MORSEL_SIZE, "1024")
         resolved = SnapshotConfig().resolved()
         assert resolved.provider == "mmap_file"
-        assert resolved.freeze is False
         assert resolved.morsel_size == 1024
 
     def test_explicit_knobs_beat_environment(self, clean_env):
         clean_env.setenv(ENV_PROVIDER, "mmap_file")
-        clean_env.setenv(ENV_FROZEN, "0")
-        resolved = SnapshotConfig(provider="inline", freeze=True).resolved()
+        clean_env.setenv(ENV_MORSEL_SIZE, "1024")
+        resolved = SnapshotConfig(provider="inline", morsel_size=8).resolved()
         assert resolved.provider == "inline"
-        assert resolved.freeze is True
+        assert resolved.morsel_size == 8
 
     def test_unknown_provider_rejected(self, clean_env):
         with pytest.raises(ValueError, match="provider"):

@@ -7,10 +7,6 @@
    vs materialize-and-sort on a representative ranking query.
 3. Factor-table reuse: parameter curation with a prebuilt factor table
    vs recomputing it per query template.
-4. Date index on/off (CP-3.2): the messages-by-month bucket index vs
-   filtered full scans on the window-driven BI reads.
-5. Tag postings on/off (CP-3.3): the tag->message postings lists vs
-   filtered full scans on the tag-driven BI reads.
 """
 
 from __future__ import annotations
@@ -66,69 +62,6 @@ def test_indexes_speed_up_traversals(base_net, base_params):
     fast_rows = bi6(indexed, tag)
     slow_rows = bi6(scanning, tag)
     assert fast_rows == slow_rows
-
-
-def _timed(query, graph, params, repeat):
-    gc.collect()  # keep a deferred collection out of the timed loop
-    start = time.perf_counter()
-    for _ in range(repeat):
-        rows = query(graph, *params)
-    return (time.perf_counter() - start) / repeat, rows
-
-
-def test_date_index_ablation(base_net, base_params):
-    """Month-bucket pruning: identical rows, and a selective window
-    query (BI 3, two one-month windows) must win big; the wide-window
-    queries must at least not lose."""
-    from repro.queries.bi import ALL_QUERIES
-
-    indexed = SocialGraph.from_data(base_net, until=base_net.cutoff)
-    ablated = SocialGraph.from_data(
-        base_net, until=base_net.cutoff, use_date_index=False
-    )
-    assert ablated.use_tag_index  # only the date index is ablated
-
-    timings = {}
-    for number in (1, 3, 12, 14):
-        query = ALL_QUERIES[number][0]
-        params = base_params.bi(number, count=1)[0]
-        fast, rows_fast = _timed(query, indexed, params, 5)
-        slow, rows_slow = _timed(query, ablated, params, 5)
-        assert rows_fast == rows_slow, f"BI {number} rows diverged"
-        timings[number] = (fast, slow)
-        print(
-            f"\nBI {number} date index {1e3 * fast:.2f} ms vs"
-            f" scans {1e3 * slow:.2f} ms ({slow / fast:.1f}x)"
-        )
-    fast, slow = timings[3]
-    assert slow > 2 * fast  # one-month windows: pruning must dominate
-    for number in (1, 12, 14):
-        fast, slow = timings[number]
-        assert fast < 2 * slow  # wide windows: index path must not lose
-
-
-def test_tag_postings_ablation(base_net, base_params):
-    """Tag postings: identical rows and a clear win on the tag-driven
-    reads (BI 6 hot-tag scoring, BI 24 tag-class rollup)."""
-    from repro.queries.bi import ALL_QUERIES
-
-    indexed = SocialGraph.from_data(base_net, until=base_net.cutoff)
-    ablated = SocialGraph.from_data(
-        base_net, until=base_net.cutoff, use_tag_index=False
-    )
-    assert ablated.use_date_index  # only the tag postings are ablated
-
-    for number in (6, 24):
-        query = ALL_QUERIES[number][0]
-        params = base_params.bi(number, count=1)[0]
-        fast, rows_fast = _timed(query, indexed, params, 5)
-        slow, rows_slow = _timed(query, ablated, params, 3)
-        assert rows_fast == rows_slow, f"BI {number} rows diverged"
-        print(
-            f"\nBI {number} tag postings {1e3 * fast:.2f} ms vs"
-            f" scans {1e3 * slow:.2f} ms ({slow / fast:.1f}x)"
-        )
-        assert slow > 2 * fast
 
 
 def test_topk_pushdown_vs_full_sort(base_graph):

@@ -126,13 +126,11 @@ class InteractiveWorkload:
 class SocialNetworkBenchmark:
     """One generated network plus everything needed to benchmark it."""
 
-    def __init__(self, network: SocialNetworkData, use_indexes: bool = True):
+    def __init__(self, network: SocialNetworkData):
         self.network = network
         load_start = time.perf_counter()
         #: Graph holding the bulk-load (pre-cutoff) dataset.
-        self.graph = SocialGraph.from_data(
-            network, until=network.cutoff, use_indexes=use_indexes
-        )
+        self.graph = SocialGraph.from_data(network, until=network.cutoff)
         self.load_seconds = time.perf_counter() - load_start
         self.params = ParameterGenerator(self.graph, network.config)
         self.bi = BiWorkload(self.graph, self.params)
@@ -146,7 +144,6 @@ class SocialNetworkBenchmark:
         num_persons: int | None = None,
         scale_factor: float | None = None,
         seed: int = 42,
-        use_indexes: bool = True,
         **config_kwargs: Any,
     ) -> "SocialNetworkBenchmark":
         """Generate a network and load it.
@@ -159,7 +156,7 @@ class SocialNetworkBenchmark:
         if num_persons is None:
             num_persons = persons_for_scale_factor(scale_factor)
         config = DatagenConfig(num_persons=num_persons, seed=seed, **config_kwargs)
-        return cls(generate(config), use_indexes=use_indexes)
+        return cls(generate(config))
 
     @property
     def scale_factor(self) -> float:

@@ -21,9 +21,8 @@ pure access-path selection — predicates and graph layout in, a
 generator that filters, tallies :mod:`repro.engine.stats` and owns the
 scan's span, so a driver run can report rows scanned, the access path
 taken, and heap activity per query.  Selection honours the store's
-``use_indexes`` / ``use_date_index`` / ``use_tag_index`` ablation flags:
-with an index disabled the same scan degrades to a filtered full scan,
-so ablation runs return identical rows.
+``use_indexes`` flag: with the indexes off the same scan degrades to a
+filtered full scan, so the index-free layout returns identical rows.
 
 When tracing is enabled (:mod:`repro.obs`), every operator additionally
 opens a leaf ``operator`` span recording its access path and row count.
@@ -300,12 +299,17 @@ def plan_messages(
     lead: bool = True,
 ) -> ScanPlan:
     """Choose :func:`scan_messages`' access path: creator adjacency,
-    tag postings (date-bisected), the date window (frozen date columns,
-    overlay merge, or live month buckets), full scan — in that order.
+    tag postings (date-bisected), a table scan by ``kind`` (unwindowed,
+    or on the live store with the window as a residual), the frozen
+    date window (date columns or overlay merge) — in that order.
     Predicates the chosen index does not absorb become residuals, so
-    every path returns the same rows.  ``morsel`` (with ``lead``) plans
-    one slab range of the frozen window or tag scan instead."""
+    every path returns the same rows.  The live ``window-filter``
+    tallies what the frozen date column does (``index_scans`` unless
+    ``use_indexes`` is off), so operator counters do not depend on the
+    layout.  ``morsel`` (with ``lead``) plans one slab range of the
+    frozen window or tag scan instead."""
     start, end = window or (None, None)
+    windowed = start is not None or end is not None
     languages = None if language is None else frozenset(language)
     frozen = _clean_frozen(graph)
     morsel = _slab_morsel(frozen, morsel)
@@ -331,21 +335,19 @@ def plan_messages(
         rows = graph.messages_with_tag_in_window(tag, start, end)
         if kind is not None:
             residuals = ((_is_comment, kind == "comment"),)
-        access, indexed = "tag-index", graph.use_indexes and graph.use_tag_index
-    elif start is None and end is None:
+        access, indexed = "tag-index", graph.use_indexes
+    elif not (windowed and isinstance(graph, FrozenGraph)):
         if kind == "post":
             rows = graph.posts.values()
         elif kind == "comment":
             rows = graph.comments.values()
         else:
             rows = graph.messages()
-        access, indexed = "full", False
-    elif not isinstance(graph, FrozenGraph):
-        # Month buckets — or, date index ablated, the accessor's own
-        # window-filtered table scan.
-        rows = graph.messages_in_window(start, end, kind)
-        access = "date-index"
-        indexed = graph.use_indexes and graph.use_date_index
+        if windowed:
+            residuals = ((_in_window, window),)
+            access, indexed = "window-filter", graph.use_indexes
+        else:
+            access, indexed = "full", False
     elif graph.delta_overlay is not None and graph.delta_overlay.messages_dirty(
         kind
     ):
@@ -355,9 +357,8 @@ def plan_messages(
         access, indexed = "frozen-overlay-merge", True
     else:
         # Frozen fast path: bisect the int64 date columns and slice the
-        # ``(creationDate, id)``-sorted object lists — no month-bucket
-        # walk, no boundary re-checks; same counters as the live
-        # date-index path.
+        # ``(creationDate, id)``-sorted object lists — no per-row
+        # window test; same counters as the live window filter.
         chunks = (
             _message_chunk(graph, span, None, languages)
             for span in _window_spans(graph, kind, window)
@@ -533,14 +534,11 @@ def scan_forum_posts(
     graph: SocialGraph, forum_id: int, *, window: Window | None = None
 ) -> Iterator[Post]:
     """Scan one Forum's Posts, date window pushed into the forum index
-    (the accessor bisects the forum→post date index or, with it
-    ablated, filters the Forum's post list itself)."""
+    (the accessor bisects the forum→post date index or, with
+    ``use_indexes`` off, filters the Forum's post list itself)."""
     start, end = window or (None, None)
-    dated = graph.use_indexes and graph.use_date_index
     return _plan(
-        "scan_forum_posts",
-        "forum-date-index" if dated else "forum-index",
-        graph.use_indexes,
+        "scan_forum_posts", "forum-date-index", graph.use_indexes,
         graph.posts_in_forum_window(forum_id, start, end),
     ).execute()
 

@@ -229,12 +229,9 @@ class FrozenGraph(SocialGraph):
         # Adopt the live tables and indexes by reference — freezing must
         # not copy the object graph (that is what it exists to avoid).
         self.__dict__.update(source.__dict__)
-        # A snapshot always has its columns; the ablation flags describe
-        # the live store's secondary indexes, which the shared index
-        # structures maintain regardless of the flags.
+        # A snapshot always has its columns, whatever the source's
+        # ``use_indexes``: the adopted indexes are maintained regardless.
         self.use_indexes = True
-        self.use_date_index = True
-        self.use_tag_index = True
         #: The source's write_version at freeze time; FreezeManager
         #: rebuilds when the live store has moved past it.
         self.frozen_at_version = frozen_at_version

@@ -52,12 +52,12 @@ def _forum_kind(title: str) -> ForumKind:
     return ForumKind.GROUP
 
 
-def load_csv_basic(dataset_dir: Path | str, use_indexes: bool = True) -> SocialGraph:
+def load_csv_basic(dataset_dir: Path | str) -> SocialGraph:
     """Load a ``social_network/`` directory written by CsvBasic."""
     root = Path(dataset_dir)
     static = root / "static"
     dynamic = root / "dynamic"
-    graph = SocialGraph(use_indexes=use_indexes)
+    graph = SocialGraph()
 
     # -- static part -----------------------------------------------------
     part_of = {

@@ -275,10 +275,18 @@ def rebuild_store(data: Any) -> SocialGraph:
     person relations, forums, memberships, messages, likes) — so every
     secondary index is rebuilt by the same code path that built the
     parent's, and a shipped overlay can keep replaying writes on top.
-    Parse and replay run inside the store's insert-only bulk scope."""
+    Parse and replay run inside the store's insert-only bulk scope; a
+    payload that does not decode or replay is a
+    :class:`SnapshotFormatError`."""
     graph = SocialGraph()
-    with graph._bulk_insert():
-        _replay(graph, json.loads(bytes(data)))
+    try:
+        with graph._bulk_insert():
+            _replay(graph, json.loads(bytes(data)))
+    except (LookupError, TypeError, ValueError) as error:
+        raise SnapshotFormatError(
+            f"corrupt snapshot: malformed entity section "
+            f"({type(error).__name__}: {error})"
+        ) from error
     return graph
 
 

@@ -44,7 +44,7 @@ from repro.schema.entities import (
 )
 from repro.schema.relations import HasMember, Knows, Likes, StudyAt, WorkAt
 from repro.util.alloc import collector_paused
-from repro.util.dates import DateTime, month_bucket
+from repro.util.dates import DateTime
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.datagen.generator import SocialNetworkData
@@ -204,17 +204,8 @@ class SocialGraph:
     #: attribute deleted on exit — pickles and frozen views never see it.
     _bulk: bool = False
 
-    def __init__(
-        self,
-        use_indexes: bool = True,
-        use_date_index: bool = True,
-        use_tag_index: bool = True,
-    ):
+    def __init__(self, use_indexes: bool = True):
         self.use_indexes = use_indexes
-        #: Secondary-index ablation flags (benchmarks/test_ablations.py).
-        #: ``use_indexes=False`` master-disables both regardless.
-        self.use_date_index = use_date_index
-        self.use_tag_index = use_tag_index
         #: Monotonic write counter: every mutator bumps it (cascading
         #: deletes bump it once per cascaded step — only change-vs-equal
         #: matters).  ``repro.graph.frozen.FreezeManager`` compares it to
@@ -247,16 +238,6 @@ class SocialGraph:
         #: kept sorted, so tag+date predicates bisect instead of filtering.
         self._messages_with_tag: dict[int, list[tuple[DateTime, int]]] = (
             defaultdict(list)
-        )
-        #: Messages-by-month bucket index: month ordinal -> message ids.
-        #: month bucket -> {message id: Message}, split by kind so a
-        #: kind-restricted window scan touches only that kind; holding
-        #: the objects keeps the bucket scan free of per-id lookups.
-        self._posts_by_month: dict[int, dict[int, Message]] = (
-            defaultdict(dict)
-        )
-        self._comments_by_month: dict[int, dict[int, Message]] = (
-            defaultdict(dict)
         )
         #: Forum posts ordered by date: forum id -> [(creationDate, post id)].
         self._forum_posts_by_date: dict[int, list[tuple[DateTime, int]]] = (
@@ -362,8 +343,6 @@ class SocialGraph:
         net: "SocialNetworkData",
         until: DateTime | None = None,
         use_indexes: bool = True,
-        use_date_index: bool = True,
-        use_tag_index: bool = True,
     ) -> "SocialGraph":
         """Bulk load a generated network.
 
@@ -375,11 +354,7 @@ class SocialGraph:
         when ``until`` is the update cutoff.  Runs inside
         :meth:`_bulk_insert`.
         """
-        graph = cls(
-            use_indexes=use_indexes,
-            use_date_index=use_date_index,
-            use_tag_index=use_tag_index,
-        )
+        graph = cls(use_indexes=use_indexes)
         with graph._bulk_insert():
             _load(graph, net, until)
         return graph
@@ -483,34 +458,20 @@ class SocialGraph:
             )
 
     def _index_message(self, message: Message) -> None:
-        """Maintain the secondary indexes for a new Post or Comment."""
+        """Post a new Post or Comment to its tags' postings lists."""
         entry = (message.creation_date, message.id)
         place = list.append if self._bulk else insort
         for tag_id in message.tag_ids:
             place(self._messages_with_tag[tag_id], entry)
-        by_month = (
-            self._comments_by_month
-            if message.is_comment
-            else self._posts_by_month
-        )
-        by_month[month_bucket(message.creation_date)][message.id] = message
 
     def _unindex_message(self, message: Message) -> None:
-        """Evict a deleted Post or Comment from the secondary indexes."""
+        """Evict a deleted Post or Comment from its tags' postings lists."""
         entry = (message.creation_date, message.id)
         for tag_id in message.tag_ids:
             postings = self._messages_with_tag[tag_id]
             index = bisect_left(postings, entry)
             if index < len(postings) and postings[index] == entry:
                 del postings[index]
-        by_month = (
-            self._comments_by_month
-            if message.is_comment
-            else self._posts_by_month
-        )
-        bucket = by_month.get(month_bucket(message.creation_date))
-        if bucket is not None:
-            bucket.pop(message.id, None)
 
     def add_post(self, post: Post) -> None:
         if post.id in self.posts or post.id in self.comments:
@@ -869,23 +830,6 @@ class SocialGraph:
             return message.language  # type: ignore[union-attr]
         return self.root_post_of(message).language
 
-    def thread_messages(self, post: Post) -> Iterator[Message]:
-        """The Post and every Comment transitively replying to it."""
-        stack: list[Message] = [post]
-        while stack:
-            message = stack.pop()
-            yield message
-            stack.extend(self.replies_of(message.id))
-
-    def messages_with_tag(self, tag_id: int) -> Iterator[Message]:
-        if self.use_indexes and self.use_tag_index:
-            for _, mid in self._messages_with_tag.get(tag_id, []):
-                yield self.message(mid)
-            return
-        for message in self.messages():
-            if tag_id in message.tag_ids:
-                yield message
-
     def messages_with_tag_in_window(
         self,
         tag_id: int,
@@ -898,7 +842,7 @@ class SocialGraph:
         date-ordered postings list; without it this degrades to a
         filtered full scan.
         """
-        if self.use_indexes and self.use_tag_index:
+        if self.use_indexes:
             postings = self._messages_with_tag.get(tag_id, [])
             lo = 0 if start is None else bisect_left(postings, (start, -1))
             hi = len(postings) if end is None else bisect_left(
@@ -914,60 +858,6 @@ class SocialGraph:
             if (start is None or ts >= start) and (end is None or ts < end):
                 yield message
 
-    def messages_in_window(
-        self,
-        start: DateTime | None = None,
-        end: DateTime | None = None,
-        kind: str | None = None,
-    ) -> Iterator[Message]:
-        """Messages with creationDate in [start, end), optionally only
-        ``"post"`` or ``"comment"`` rows.
-
-        The messages-by-month bucket index prunes the scan to the
-        buckets overlapping the window (and to the requested kind);
-        only boundary buckets re-check the timestamp (dimensional
-        clustering, CP-3.2).
-        """
-        if not (self.use_indexes and self.use_date_index):
-            if kind == "post":
-                source: Iterable[Message] = self.posts.values()
-            elif kind == "comment":
-                source = self.comments.values()
-            else:
-                source = self.messages()
-            for message in source:
-                ts = message.creation_date
-                if (start is None or ts >= start) and (
-                    end is None or ts < end
-                ):
-                    yield message
-            return
-        indexes = []
-        if kind != "comment":
-            indexes.append(self._posts_by_month)
-        if kind != "post":
-            indexes.append(self._comments_by_month)
-        lo_bucket = None if start is None else month_bucket(start)
-        hi_bucket = None if end is None else month_bucket(end - 1)
-        for by_month in indexes:
-            for bucket_key in sorted(by_month):
-                if lo_bucket is not None and bucket_key < lo_bucket:
-                    continue
-                if hi_bucket is not None and bucket_key > hi_bucket:
-                    continue
-                bucket = by_month[bucket_key]
-                if (lo_bucket is None or bucket_key > lo_bucket) and (
-                    hi_bucket is None or bucket_key < hi_bucket
-                ):
-                    yield from bucket.values()
-                    continue
-                for message in bucket.values():
-                    ts = message.creation_date
-                    if (start is None or ts >= start) and (
-                        end is None or ts < end
-                    ):
-                        yield message
-
     def posts_in_forum_window(
         self,
         forum_id: int,
@@ -975,7 +865,7 @@ class SocialGraph:
         end: DateTime | None = None,
     ) -> Iterator[Post]:
         """A Forum's Posts with creationDate in [start, end), date order."""
-        if self.use_indexes and self.use_date_index:
+        if self.use_indexes:
             dated = self._forum_posts_by_date.get(forum_id, [])
             lo = 0 if start is None else bisect_left(dated, (start, -1))
             hi = len(dated) if end is None else bisect_left(dated, (end, -1))

@@ -188,7 +188,7 @@ def ref_bi13(graph: SocialGraph, country: str) -> list[Bi13Row]:
 def ref_bi14(graph: SocialGraph, begin: Date, end: Date) -> list[Bi14Row]:
     start_ts = date_to_datetime(begin)
     end_ts = date_to_datetime(end) + MILLIS_PER_DAY
-    # Root resolution computed bottom-up, independent of thread_messages.
+    # Root resolution computed bottom-up, independent of root_post_of.
     root_of: dict[int, int] = {}
     for post in graph.posts.values():
         root_of[post.id] = post.id

@@ -93,7 +93,7 @@ class TestDeleteMessages:
         assert ids["reply"] not in b.graph.comments
         assert ids["nested"] not in b.graph.comments
         assert b.graph.likes_edges == []
-        assert list(b.graph.messages_with_tag(TAG_ROCK)) == []
+        assert list(b.graph.messages_with_tag_in_window(TAG_ROCK)) == []
         assert b.graph.posts_in_forum(ids["group"]) == []
 
     def test_delete_clears_creator_index(self, world):

@@ -16,6 +16,7 @@ import pytest
 
 from repro.datagen.delete_streams import build_delete_streams
 from repro.datagen.update_streams import build_update_streams
+from repro.engine import scan_messages
 from repro.graph.store import SocialGraph
 from repro.params.curation import ParameterGenerator
 from repro.queries.bi import ALL_QUERIES, bi17, bi25
@@ -174,8 +175,8 @@ class TestIndexedVersusNaive:
                 ), f"IC {number} diverged for {binding}"
 
     def test_window_scans_match_after_deletes(self, engine_graph_pair):
-        """Month-bucket pruning returns exactly the full-scan rows after
-        deletes have evicted entries from the buckets."""
+        """The live window filter returns exactly the full-scan rows,
+        per kind, after deletes have evicted messages from the tables."""
         indexed, naive = engine_graph_pair
         windows = [
             (make_datetime(2010, 1, 1), make_datetime(2011, 7, 1)),
@@ -183,15 +184,23 @@ class TestIndexedVersusNaive:
             (None, make_datetime(2011, 1, 1)),
             (make_datetime(2012, 6, 1), None),
         ]
-        for start, end in windows:
+        for (start, end), kind in [
+            (window, kind)
+            for window in windows
+            for kind in (None, "post", "comment")
+        ]:
             expected = {
                 m.id
                 for m in naive.messages()
                 if (start is None or m.creation_date >= start)
                 and (end is None or m.creation_date < end)
+                and (kind is None or m.is_comment == (kind == "comment"))
             }
-            got = {m.id for m in indexed.messages_in_window(start, end)}
-            assert got == expected
+            got = {
+                m.id
+                for m in scan_messages(indexed, window=(start, end), kind=kind)
+            }
+            assert got == expected, (start, end, kind)
 
     def test_tag_postings_match_after_deletes(self, engine_graph_pair):
         indexed, naive = engine_graph_pair

@@ -37,18 +37,16 @@ def _ids(messages):
 WINDOW = (make_datetime(2010, 6, 1), make_datetime(2012, 6, 1))
 
 #: Graph layouts, in the column order of ``ACCESS`` below.
-LAYOUTS = ("live", "no-indexes", "no-date-index", "no-tag-index",
-           "frozen", "overlaid")
+LAYOUTS = ("live", "no-indexes", "frozen", "overlaid")
 
 #: Predicate set -> the access label expected per layout.  Every label
 #: but ``"full"`` tallies ``index_scans``; ``"full"`` tallies
 #: ``full_scans``.
-_BY_WINDOW = ("date-index", "full", "full", "date-index",
-              "frozen-date-column", "frozen-overlay-merge")
-_BY_TAG = ("tag-index", "full", "tag-index", "full", "tag-index",
-           "tag-index")
-_BY_CREATOR = ("creator-index", "full") + ("creator-index",) * 4
-_FULL = ("full",) * 6
+_BY_WINDOW = ("window-filter", "full", "frozen-date-column",
+              "frozen-overlay-merge")
+_BY_TAG = ("tag-index", "full", "tag-index", "tag-index")
+_BY_CREATOR = ("creator-index", "full", "creator-index", "creator-index")
+_FULL = ("full",) * 4
 ACCESS = {
     "none": _FULL,
     "window": _BY_WINDOW,
@@ -101,8 +99,6 @@ def layouts(tiny_net, tiny_graph):
     yield dict(zip(LAYOUTS, (
         tiny_graph,
         SocialGraph.from_data(tiny_net, use_indexes=False),
-        SocialGraph.from_data(tiny_net, use_date_index=False),
-        SocialGraph.from_data(tiny_net, use_tag_index=False),
         freeze(tiny_graph),
         overlaid,
     )))

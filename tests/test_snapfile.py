@@ -12,12 +12,14 @@ from __future__ import annotations
 import gc
 import io
 import json
+import math
 import struct
 
 import pytest
 
+from repro.driver.bi_driver import build_microbatches
 from repro.engine import expand, scan_messages
-from repro.graph.frozen import FrozenGraph, freeze
+from repro.graph.frozen import FreezeManager, FrozenGraph, freeze
 from repro.graph.snapfile import (
     FLAT_COLUMNS,
     HEADER_SIZE,
@@ -30,12 +32,13 @@ from repro.graph.snapfile import (
     rebuild_store,
     write_snapshot,
 )
+from repro.graph.store import SocialGraph
 from repro.params.curation import ParameterGenerator
 from repro.queries.bi import ALL_QUERIES
 from repro.queries.interactive.complex import ALL_COMPLEX
 from repro.queries.interactive.short import ALL_SHORT
 
-from tests.test_delta_overlay import _run_query
+from tests.test_delta_overlay import _apply_batch, _run_query
 
 
 def snapshot_bytes(graph: FrozenGraph) -> bytes:
@@ -142,9 +145,21 @@ class TestRebuildStore:
 
     @pytest.mark.parametrize("payload", [b"{not json", b'{"places": []}'])
     def test_corrupt_payload_restores_the_collector(self, payload):
-        with pytest.raises((json.JSONDecodeError, KeyError)):
+        with pytest.raises(SnapshotFormatError):
             rebuild_store(payload)
         assert gc.isenabled()
+
+    @pytest.mark.parametrize(
+        "payload",
+        [b"", b"[]", b"{}", b'{"places": [[1]]}', b"\xff\xfe\x00",
+         b'{"places": 5}'],
+    )
+    def test_damaged_entities_raise_a_format_error(self, payload):
+        """What the decode or the replay raises on a damaged section is
+        chained under the one typed error."""
+        with pytest.raises(SnapshotFormatError) as raised:
+            rebuild_store(payload)
+        assert raised.value.__cause__ is not None
 
 
 class TestHeaderValidation:
@@ -245,6 +260,24 @@ class TestLiveViewsRejected:
             manager.detach()
 
 
+def _run_every_read(graph, params, source):
+    """Every registered BI, IC and IS read on ``graph`` (two bindings
+    each; IS on two Persons, Posts and Comments of ``source``), plus a
+    friends expansion."""
+    persons = params.person_ids(2)
+    messages = [*sorted(source.posts)[:2], *sorted(source.comments)[:2]]
+    for number, (query, _) in sorted(ALL_QUERIES.items()):
+        for binding in params.bi(number, count=2):
+            _run_query(query, graph, binding)
+    for number, (query, _) in sorted(ALL_COMPLEX.items()):
+        for binding in params.interactive(number, count=2):
+            _run_query(query, graph, binding)
+    for number, (query, _) in sorted(ALL_SHORT.items()):
+        for entity_id in persons if number <= 3 else messages:
+            _run_query(query, graph, (entity_id,))
+    list(expand(persons, graph.friends_of))
+
+
 class TestEverySerializedColumnIsRead:
     """The file carries exactly the columns a read uses: a column no
     accessor or operator reads is build and serialization cost for
@@ -259,27 +292,71 @@ class TestEverySerializedColumnIsRead:
                 return super().__getattribute__(name)
 
         params = ParameterGenerator(tiny_graph, tiny_config)
-        persons = params.person_ids(2)
-        messages = [*sorted(tiny_graph.posts)[:2],
-                    *sorted(tiny_graph.comments)[:2]]
         snapshot = freeze(tiny_graph)
         # Swapped in after the freeze, so the freeze's own reads
         # (``_derive_lookups``) do not count — only queries' and
         # operators' do.
         snapshot.__class__ = RecordingGraph
-        for number, (query, _) in sorted(ALL_QUERIES.items()):
-            for binding in params.bi(number, count=2):
-                _run_query(query, snapshot, binding)
-        for number, (query, _) in sorted(ALL_COMPLEX.items()):
-            for binding in params.interactive(number, count=2):
-                _run_query(query, snapshot, binding)
-        for number, (query, _) in sorted(ALL_SHORT.items()):
-            for entity_id in persons if number <= 3 else messages:
-                _run_query(query, snapshot, (entity_id,))
-        list(expand(persons, snapshot.friends_of))
+        _run_every_read(snapshot, params, tiny_graph)
         unread = [
             name
             for name in FLAT_COLUMNS + STRING_COLUMNS + KEYED_COLUMNS
             if name not in reads
         ]
         assert unread == []
+
+
+class TestEveryLiveContainerIsRead:
+    """The live store is the write store: each container it keeps is
+    read by ``freeze``, ``write_snapshot`` or a read on the frozen or
+    overlaid layout — the layouts every driver reads — or is one of the
+    write path's own lookups below.  An index only a live scan reads is
+    upkeep on every load and write for nothing, so it fails here."""
+
+    #: Containers only the write path reads, and why it needs each.
+    WRITE_PATH = {
+        "_delta_hooks": "mutators fan each row event out to the overlay",
+        "_knows_pos": "delete_knows swap-removes by position",
+        "_likes_pos": "like deletes swap-remove by position",
+        "_member_pos": "membership deletes swap-remove by position",
+        "_study_pos": "a person delete swap-removes its studyAt rows",
+        "_work_pos": "a person delete swap-removes its workAt rows",
+        "_moderated_forums": "the DEL 1 cascade deletes a person's forums",
+    }
+
+    def test_every_live_container_is_read(
+        self, tiny_net, tiny_config, monkeypatch
+    ):
+        reads: set[str] = set()
+
+        def recording(graph, name):
+            reads.add(name)
+            return object.__getattribute__(graph, name)
+
+        def recorded(phase, *args):
+            with monkeypatch.context() as patch:
+                patch.setattr(SocialGraph, "__getattribute__", recording)
+                return phase(*args)
+
+        live = SocialGraph.from_data(tiny_net, until=tiny_net.cutoff)
+        params = ParameterGenerator(live, tiny_config)
+        manager = FreezeManager(live, compact_fraction=math.inf)
+        try:
+            snapshot = recorded(manager.frozen)
+            recorded(_run_every_read, snapshot, params, live)
+            recorded(write_snapshot, snapshot, io.BytesIO())
+            batches = build_microbatches(tiny_net)
+            for batch in batches[: len(batches) // 2]:
+                _apply_batch(live, batch)
+            overlaid = manager.frozen()
+            assert overlaid.delta_overlay is not None
+            recorded(_run_every_read, overlaid, params, live)
+        finally:
+            manager.detach()
+        containers = {
+            name
+            for name, value in vars(SocialGraph()).items()
+            if isinstance(value, (dict, list))
+        }
+        assert set(self.WRITE_PATH) <= containers
+        assert sorted(containers - reads - set(self.WRITE_PATH)) == []

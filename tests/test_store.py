@@ -112,16 +112,10 @@ class TestAdjacency:
         post = b.graph.posts[ids["post"]]
         assert b.graph.root_post_of(post) is post
 
-    def test_thread_messages(self, simple):
-        b, ids = simple
-        post = b.graph.posts[ids["post"]]
-        thread = {m.id for m in b.graph.thread_messages(post)}
-        assert thread == {ids["post"], ids["comment"], ids["nested"]}
-
     def test_messages_with_tag(self, simple):
         b, ids = simple
-        rock = {m.id for m in b.graph.messages_with_tag(TAG_ROCK)}
-        jazz = {m.id for m in b.graph.messages_with_tag(TAG_JAZZ)}
+        rock = {m.id for m in b.graph.messages_with_tag_in_window(TAG_ROCK)}
+        jazz = {m.id for m in b.graph.messages_with_tag_in_window(TAG_JAZZ)}
         assert rock == {ids["post"]}
         assert jazz == {ids["comment"]}
 

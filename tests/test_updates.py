@@ -128,7 +128,9 @@ class TestIu6Iu7Messages:
         )
         assert b.graph.posts[800].content == "fresh"
         assert 800 in {p.id for p in b.graph.posts_in_forum(forum)}
-        assert 800 in {m.id for m in b.graph.messages_with_tag(TAG_ROCK)}
+        assert 800 in {
+            m.id for m in b.graph.messages_with_tag_in_window(TAG_ROCK)
+        }
 
     def test_add_comment_reply_to_post(self, world):
         b, ann, bob, forum, post, comment = world

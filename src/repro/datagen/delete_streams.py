@@ -8,6 +8,14 @@ Restricting deletions to the update window keeps the bulk-load dataset a
 clean snapshot; entities created *inside* the window can still be
 deleted there (insert followed by delete), like the official streams.
 
+Each decision is one SHA-256 of ``(seed, "delete", kind, label)`` (see
+:mod:`repro.util.rng`): the row is a victim iff the uniform from digest
+bytes 0-7 is below the kind's probability, and its deletion time sits at
+the fraction given by bytes 8-15 of ``[max(created + 1, cutoff),
+end_millis)``.  A decision depends on nothing but the seed, the kind and
+the row's label, so the stream is independent of the order the network
+lists its entities in, of the worker count and of hash randomization.
+
 Only group forums receive explicit DEL 4 events — walls and albums
 leave the graph through their owner's DEL 1 cascade.
 """
@@ -30,7 +38,7 @@ from repro.queries.interactive.deletes import (
 )
 from repro.schema.entities import ForumKind
 from repro.util.dates import DateTime
-from repro.util.rng import DeterministicRng
+from repro.util.rng import digests_under, unit
 
 DeleteParams = Union[
     DeletePersonParams,
@@ -63,14 +71,33 @@ class DeleteOperation:
 
 
 def _deletion_time(
-    rng: DeterministicRng, net: SocialNetworkData, created: DateTime
+    fraction: float, net: SocialNetworkData, created: DateTime
 ) -> DateTime | None:
-    """A timestamp in [max(created, cutoff), end), None if degenerate."""
+    """The timestamp ``fraction`` of the way through [max(created + 1,
+    cutoff), end), None if that window is empty."""
     earliest = max(created + 1, net.cutoff)
     latest = net.config.end_millis
     if earliest >= latest:
         return None
-    return earliest + int(rng.random() * (latest - earliest))
+    return earliest + int(fraction * (latest - earliest))
+
+
+def _checked(probabilities: dict[str, float] | None) -> dict[str, float]:
+    """The defaults overridden by ``probabilities``; an unknown kind or a
+    value outside [0, 1] (NaN included) is a ``ValueError``."""
+    p = dict(DELETE_PROBABILITIES)
+    for kind, value in (probabilities or {}).items():
+        if kind not in p:
+            raise ValueError(
+                f"unknown delete kind {kind!r}; expected one of {sorted(p)}"
+            )
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(
+                f"delete probability for {kind!r} must be in [0, 1], "
+                f"got {value!r}"
+            )
+        p[kind] = value
+    return p
 
 
 def build_delete_streams(
@@ -78,17 +105,15 @@ def build_delete_streams(
     probabilities: dict[str, float] | None = None,
 ) -> list[DeleteOperation]:
     """Select deletion victims deterministically and order their events."""
-    p = dict(DELETE_PROBABILITIES)
-    if probabilities:
-        p.update(probabilities)
-    seed = net.config.seed
+    p = _checked(probabilities)
+    digests = {kind: digests_under(net.config.seed, "delete", kind) for kind in p}
     operations: list[DeleteOperation] = []
 
     def consider(kind: str, label: object, created: DateTime) -> DateTime | None:
-        rng = DeterministicRng(seed, "delete", kind, label)
-        if rng.random() >= p[kind]:
+        digest = digests[kind](label)
+        if unit(digest) >= p[kind]:
             return None
-        return _deletion_time(rng, net, created)
+        return _deletion_time(unit(digest, 8), net, created)
 
     for person in net.persons:
         ts = consider("person", person.id, person.creation_date)

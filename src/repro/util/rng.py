@@ -7,31 +7,76 @@ reproduce the property with stream derivation: every generation stage and
 every per-entity decision draws from a ``random.Random`` seeded by a
 stable 64-bit hash of ``(master_seed, *labels)``, so the output never
 depends on iteration order, process count or Python hash randomization.
+
+The hash is SHA-256 over ``str(master_seed)`` followed by ``b"\\x1f" +
+str(label)`` per label (:func:`label_digest`); a sub-seed is its first 8
+bytes.  A decision that needs only one or two uniforms per entity — the
+delete streams' coin and deletion-time fraction — reads them straight
+from that digest with :func:`unit` instead of seeding a Mersenne Twister
+per entity: :func:`digests_under` hashes the shared label prefix once and
+extends a copy of it per entity, so each decision costs one hash.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from typing import Any, Iterable, Sequence, TypeVar
+import struct
+from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 T = TypeVar("T")
 
-_MASK64 = (1 << 64) - 1
+_SEPARATOR = b"\x1f"
+_WORD = struct.Struct(">Q")
+
+
+def _hasher(master_seed: int, labels: Iterable[object]) -> Any:
+    hasher = hashlib.sha256(str(master_seed).encode())
+    for label in labels:
+        hasher.update(_SEPARATOR + str(label).encode())
+    return hasher
+
+
+def label_digest(master_seed: int, *labels: object) -> bytes:
+    """The 32-byte SHA-256 digest of ``(master_seed, *labels)``.
+
+    Labels may be strings or integers; each is folded in as its ``str``
+    behind a ``\\x1f`` separator, so distinct label tuples (including
+    ``("ab", "c")`` and ``("a", "bc")``) yield independent digests.
+    """
+    return bytes(_hasher(master_seed, labels).digest())
 
 
 def derive_seed(master_seed: int, *labels: object) -> int:
-    """Derive a stable 64-bit sub-seed from a master seed and labels.
+    """A stable 64-bit sub-seed: the first 8 bytes of :func:`label_digest`."""
+    return int.from_bytes(label_digest(master_seed, *labels)[:8], "big")
 
-    Labels may be strings or integers; they are folded into a SHA-256
-    digest so distinct label tuples yield independent streams.
+
+def digests_under(master_seed: int, *prefix: object) -> Callable[[object], bytes]:
+    """``digest(label) == label_digest(master_seed, *prefix, label)``.
+
+    The prefix is hashed once here; each call copies that state and
+    folds in only its own label.
     """
-    hasher = hashlib.sha256()
-    hasher.update(str(master_seed).encode())
-    for label in labels:
-        hasher.update(b"\x1f")
-        hasher.update(str(label).encode())
-    return int.from_bytes(hasher.digest()[:8], "big") & _MASK64
+    base = _hasher(master_seed, prefix)
+
+    def digest(label: object) -> bytes:
+        hasher = base.copy()
+        hasher.update(_SEPARATOR + str(label).encode())
+        return bytes(hasher.digest())
+
+    return digest
+
+
+def unit(digest: bytes, offset: int = 0) -> float:
+    """A uniform float in [0, 1) from the 8 bytes at ``offset``.
+
+    Like ``random.random()`` it keeps the top 53 bits, so every value is
+    exact and the largest is ``1 - 2**-53``; scaling all 64 bits by
+    ``2**-64`` instead could round up to 1.0.
+    """
+    word: int = _WORD.unpack_from(digest, offset)[0]
+    return (word >> 11) * 2.0 ** -53
 
 
 class DeterministicRng:

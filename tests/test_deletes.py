@@ -2,13 +2,27 @@
 (spec section 5.2's insert/delete mix, as shipped in the VLDB 2022 BI
 workload)."""
 
+import dataclasses
+import hashlib
+import json
+import math
+import os
+import random
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.datagen.delete_streams import (
+    DELETE_PROBABILITIES,
     build_delete_streams,
     read_delete_stream,
     write_delete_stream,
 )
+from repro.driver.bi_driver import build_microbatches
 from repro.queries.interactive.deletes import (
     ALL_DELETES,
     DeleteForumParams,
@@ -20,6 +34,7 @@ from repro.queries.interactive.deletes import (
     del1, del2, del4, del5, del6, del7, del8,
 )
 from repro.schema.entities import ForumKind
+from repro.util.rng import unit
 
 from tests.builders import GraphBuilder, PARIS, TAG_ROCK, ts
 
@@ -270,6 +285,211 @@ class TestDeleteStreams:
         for op in build_delete_streams(small_net):
             ALL_DELETES[op.operation_id][0](graph, op.params)
         assert graph.node_count() < before
+
+    def test_victims_are_the_rows_whose_coin_is_below_p(self, small_net):
+        """A candidate is in the stream iff the top 53 bits of the first 8
+        bytes of SHA-256(seed, "delete", kind, label), as a fraction of
+        2**53, are below ``p[kind]``; its timestamp sits at the fraction
+        bytes 8-15 give of its window.  Recomputed here with ``hashlib``
+        alone, sharing no code with the implementation."""
+        seed = small_net.config.seed
+        start = small_net.cutoff
+        end = small_net.config.end_millis
+        expected = Counter()
+        coins = 0
+        for kind, label, created, op_id, params in _candidates(small_net):
+            digest = hashlib.sha256(
+                f"{seed}\x1fdelete\x1f{kind}\x1f{label}".encode()
+            ).digest()
+            coin = (int.from_bytes(digest[:8], "big") >> 11) / 2 ** 53
+            if coin >= DELETE_PROBABILITIES[kind]:
+                continue
+            coins += 1
+            earliest = max(created + 1, start)
+            if earliest >= end:
+                continue
+            fraction = (int.from_bytes(digest[8:16], "big") >> 11) / 2 ** 53
+            timestamp = earliest + int(fraction * (end - earliest))
+            expected[timestamp, op_id, params] += 1
+        actual = Counter(
+            (op.timestamp, op.operation_id, op.params)
+            for op in build_delete_streams(small_net)
+        )
+        assert actual == expected
+        assert coins >= sum(expected.values()) > 1_000
+
+    def test_every_timestamp_inside_its_window(self, small_net):
+        created = {
+            (op_id, params): when
+            for _, _, when, op_id, params in _candidates(small_net)
+        }
+        end = small_net.config.end_millis
+        for op in build_delete_streams(small_net):
+            earliest = max(created[op.operation_id, op.params] + 1,
+                           small_net.cutoff)
+            assert earliest <= op.timestamp < end
+
+    def test_stream_is_independent_of_entity_order(self, small_net):
+        """The spec's order-independence (section 2.3.3): shuffling every
+        entity list of the network changes nothing."""
+        shuffler = random.Random(11)
+        lists = {}
+        for field in dataclasses.fields(small_net):
+            value = getattr(small_net, field.name)
+            if isinstance(value, list):
+                lists[field.name] = shuffler.sample(value, len(value))
+        shuffled = dataclasses.replace(small_net, **lists)
+        assert shuffled.persons != small_net.persons
+        assert build_delete_streams(shuffled) == build_delete_streams(small_net)
+
+    def test_unit_of_all_ones_is_below_one(self):
+        assert unit(b"\xff" * 8) == 1.0 - 2.0 ** -53 < 1.0
+        assert unit(b"\x00" * 8) == 0.0
+        assert unit(b"\x00" * 8 + b"\xff" * 8, 8) < 1.0
+
+    @pytest.mark.parametrize("probabilities", [
+        {"person": math.nan},
+        {"like": -0.01},
+        {"knows": 1.5},
+        {"comment": math.inf},
+        {"likes": 0.5},
+        {"Person": 0.1},
+    ])
+    def test_rejects_bad_probabilities(self, tiny_net, probabilities):
+        with pytest.raises(ValueError):
+            build_delete_streams(tiny_net, probabilities)
+
+    def test_probability_one_takes_every_candidate(self, tiny_net):
+        everything = build_delete_streams(tiny_net, {"forum": 1.0})
+        groups = [f for f in tiny_net.forums if f.kind is ForumKind.GROUP]
+        assert sum(op.operation_id == 4 for op in everything) == sum(
+            max(f.creation_date + 1, tiny_net.cutoff)
+            < tiny_net.config.end_millis
+            for f in groups
+        )
+
+
+class TestTinyStreamCoverage:
+    """The ``tiny`` microbatch stream is what the overlay, aliasing and
+    differential suites replay; it must exercise every delete kind."""
+
+    def test_every_delete_kind_is_carried(self, tiny_net):
+        kinds = {
+            op.operation_id
+            for batch in build_microbatches(tiny_net)
+            for op in batch.deletes
+        }
+        assert kinds == set(range(1, 9))
+
+    def test_a_person_cascade_removes_messages_likes_and_memberships(
+        self, tiny_net
+    ):
+        from repro.graph.store import SocialGraph
+        from repro.queries.interactive.updates import ALL_UPDATES
+
+        def sizes(graph):
+            return (
+                len(graph.posts) + len(graph.comments),
+                len(graph.likes_edges),
+                len(graph.memberships),
+            )
+
+        graph = SocialGraph.from_data(tiny_net, until=tiny_net.cutoff)
+        cascades = []
+        for batch in build_microbatches(tiny_net):
+            for insert in batch.inserts:
+                try:
+                    ALL_UPDATES[insert.operation_id][0](graph, insert.params)
+                except (KeyError, ValueError):
+                    pass
+            for op in batch.deletes:
+                before = sizes(graph)
+                ALL_DELETES[op.operation_id][0](graph, op.params)
+                if op.operation_id == 1:
+                    cascades.append(
+                        [b - a for b, a in zip(before, sizes(graph))]
+                    )
+        assert cascades
+        assert any(all(removed > 0 for removed in c) for c in cascades), (
+            cascades
+        )
+
+
+#: Digests of the ``tiny`` network (80 persons, seed 5) and its streams.
+#: The delete decisions share the RNG module with every other generator
+#: stage, so the network and update-stream digests are pinned too: a
+#: change to how deletes draw must leave them where they are.
+_TINY_DIGESTS = {
+    "net": "80233264f4f73c3575520a6b207112cf9acb290d8c42694613269e6231d4dc39",
+    "updates": "a122724fcd8132d1c503deffff0e7ff465836905c09e9127bb22c7ac47c35cbb",
+    "deletes": "06db9c952989565b46152597710a33268cd7f7c9bf19f9f1093aacd9b787f8b4",
+}
+
+_DIGEST_SCRIPT = """
+import dataclasses, hashlib, json
+from repro.datagen.config import DatagenConfig
+from repro.datagen.delete_streams import build_delete_streams
+from repro.datagen.generator import generate
+from repro.datagen.update_streams import build_update_streams
+
+def digest(items):
+    return hashlib.sha256("\\n".join(map(repr, items)).encode()).hexdigest()
+
+net = generate(DatagenConfig(num_persons=80, seed=5))
+lists = [f.name for f in dataclasses.fields(net)
+         if isinstance(getattr(net, f.name), list)]
+print(json.dumps({
+    "net": hashlib.sha256(
+        "".join(digest(getattr(net, name)) for name in lists).encode()
+    ).hexdigest(),
+    "updates": digest(build_update_streams(net)),
+    "deletes": digest(build_delete_streams(net)),
+}))
+"""
+
+
+class TestStreamDigests:
+    @pytest.mark.parametrize("hash_seed", ["0", "1"])
+    def test_independent_of_hash_randomization(self, hash_seed):
+        """Under two ``PYTHONHASHSEED`` values the ``tiny`` network, its
+        update stream and its delete stream hash to the committed
+        digests."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", _DIGEST_SCRIPT],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed),
+        )
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == _TINY_DIGESTS
+
+
+def _candidates(net):
+    """``(kind, label, created, operation_id, params)`` for every row the
+    delete stream may pick, with the labels the decisions hash."""
+    for person in net.persons:
+        yield ("person", person.id, person.creation_date, 1,
+               DeletePersonParams(person.id))
+    for like in net.likes:
+        yield ("like", f"{like.person_id}-{like.message_id}",
+               like.creation_date, 2 if like.is_post else 3,
+               DeleteLikeParams(like.person_id, like.message_id))
+    for forum in net.forums:
+        if forum.kind is ForumKind.GROUP:
+            yield ("forum", forum.id, forum.creation_date, 4,
+                   DeleteForumParams(forum.id))
+    for m in net.memberships:
+        yield ("membership", f"{m.forum_id}-{m.person_id}", m.join_date, 5,
+               DeleteMembershipParams(m.forum_id, m.person_id))
+    for post in net.posts:
+        yield ("post", post.id, post.creation_date, 6,
+               DeleteMessageParams(post.id))
+    for comment in net.comments:
+        yield ("comment", comment.id, comment.creation_date, 7,
+               DeleteMessageParams(comment.id))
+    for edge in net.knows:
+        yield ("knows", f"{edge.person1}-{edge.person2}", edge.creation_date,
+               8, DeleteFriendshipParams(edge.person1, edge.person2))
 
 
 class TestDriverWithDeletes:

@@ -9,8 +9,8 @@ Three layers of protection for :mod:`repro.graph.delta`:
   hook detach;
 * the acceptance differential: all 25 BI and 14 IC reads must return
   *identical* rows on the overlaid snapshot and on the live store while
-  the full interleaved insert/delete microbatch stream (including
-  DEL-style person cascades) applies — with exactly one freeze and zero
+  the full interleaved insert/delete microbatch stream (including a
+  DEL 1 person cascade) applies — with exactly one freeze and zero
   compactions, so every read after the first batch really went through
   the overlay merge.
 """
@@ -362,8 +362,8 @@ def overlay_phase(tiny_net, tiny_config):
     initial freeze every ``frozen()`` call must serve the merge view, so
     the module's differentials compare the overlay path — not refrozen
     columns — against the live store.  The stream is the same daily
-    partitioning the throughput test replays, deletes included (DEL-1
-    person cascades among them)."""
+    partitioning the throughput test replays, deletes included (one DEL 1
+    person cascade among them)."""
     live = SocialGraph.from_data(tiny_net, until=tiny_net.cutoff)
     manager = FreezeManager(live, compact_fraction=math.inf)
     freezes_before = registry().counter("repro_frozen_freezes_total").value

@@ -12,7 +12,7 @@ The tests here (1) pin the identity contract across a freeze +
 ``delete_post`` cycle, (2) demonstrate the failure mode with an
 *injected* rebinding delete, and (3) check both invariants over the
 real code paths: the full interleaved insert/delete microbatch stream
-(person cascades included) must leave every live table the same
+(a person cascade included) must leave every live table the same
 object, shared by the manager's view, and all 25 BI and 14 IC reads on
 a clean snapshot and on the overlaid view must leave every frozen
 column byte- and identity-equal.
@@ -181,7 +181,7 @@ def streamed(tiny_net, tiny_config):
 class TestInvariantsOverTheStream:
     def test_stream_never_rebinds_a_live_table(self, streamed):
         """Every store mutator — inserts, deletes and the person
-        cascades alike — edits the live tables in place, so the snapshot
+        cascade alike — edits the live tables in place, so the snapshot
         frozen before the stream still shares each one."""
         live, tables, manager, _ = streamed
         view = manager.frozen()

@@ -3,7 +3,12 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.util.rng import DeterministicRng, derive_seed
+from repro.util.rng import (
+    DeterministicRng,
+    derive_seed,
+    digests_under,
+    label_digest,
+)
 
 
 class TestDeriveSeed:
@@ -30,6 +35,27 @@ class TestDeriveSeed:
     @given(st.integers(), st.text(max_size=20))
     def test_is_pure(self, master, label):
         assert derive_seed(master, label) == derive_seed(master, label)
+
+    def test_seed_is_the_digest_head(self):
+        digest = label_digest(42, "delete", "like", "3-14")
+        assert len(digest) == 32
+        assert derive_seed(42, "delete", "like", "3-14") == int.from_bytes(
+            digest[:8], "big"
+        )
+
+
+class TestDigestsUnder:
+    @given(st.integers(), st.lists(st.one_of(st.integers(), st.text(
+        max_size=8)), max_size=3), st.one_of(st.integers(), st.text(max_size=8)))
+    def test_equals_the_full_digest(self, master, prefix, label):
+        digest = digests_under(master, *prefix)
+        assert digest(label) == label_digest(master, *prefix, label)
+
+    def test_prefix_state_is_not_consumed(self):
+        digest = digests_under(7, "delete", "person")
+        first = digest(1)
+        digest(2)
+        assert digest(1) == first != digest(2)
 
 
 class TestStreams:

@@ -3,8 +3,8 @@
 The checker runs on every commit and three times inside the test
 suite's meta-tests (lint, audit, CLI), so it must stay cheap enough
 that nobody is tempted to skip it.  This benchmark times the two passes
-CI actually runs over the whole ``src`` tree — the lint pass (R1–R5,
-suppression filtering) and the dead-waiver audit (the same rules,
+CI actually runs over the whole ``src`` tree — the lint pass (R1, R2,
+R4, R5, suppression filtering) and the dead-waiver audit (the same rules,
 pre-suppression) — and asserts each completes within a few seconds,
 so a new rule that parses or walks a file more than once shows up
 here.  Recorded as

@@ -185,7 +185,7 @@ class SocialGraph:
     #: Raw entity/relation tables (plus the ``messages()`` full-scan
     #: accessor) that are public for point access but off-limits to
     #: iterate from query code.  Mirrored by
-    #: ``repro.lint.spec.RAW_STORE_COLLECTIONS``.
+    #: ``repro.lint.rules_engine.RAW_STORE_COLLECTIONS``.
     RAW_TABLES: frozenset[str] = frozenset(
         {
             "places", "organisations", "tag_classes", "tags",

@@ -1,6 +1,6 @@
 """CLI: ``python -m repro.lint <path>... [options]``.
 
-Runs every rule (R1–R5) over the given files and directory trees.
+Runs every rule (R1, R2, R4, R5) over the given files and directory trees.
 Options: ``--format {text,github}`` (github = workflow annotations)
 and ``--audit-suppressions`` (report waivers that no longer suppress
 any diagnostic instead of linting).  There is no per-family selection:
@@ -26,8 +26,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         prog="python -m repro.lint",
         description=(
             "AST benchmark-invariant checker: determinism (R1), "
-            "engine discipline (R2), query contracts (R3), "
-            "total-order sorts (R4), observability discipline (R5)."
+            "engine discipline (R2), total-order sorts (R4), "
+            "observability discipline (R5)."
         ),
     )
     parser.add_argument(

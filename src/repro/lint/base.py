@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable
 
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.suppressions import SuppressionIndex, parse_suppressions
@@ -99,6 +99,3 @@ def make_context(path: str, source: str) -> FileContext | Diagnostic:
 def _pure_parts(path: str) -> tuple[str, ...]:
     return tuple(part for part in path.replace("\\", "/").split("/") if part)
 
-
-def walk_nodes(tree: ast.Module) -> Iterator[ast.AST]:
-    yield from ast.walk(tree)

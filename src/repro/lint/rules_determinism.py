@@ -3,31 +3,27 @@
 The spec (section 2.3.3) requires the whole pipeline to be deterministic
 regardless of parallelism; the in-depth SNB benchmarking study traces
 most cross-system result mismatches to exactly the two leaks this rule
-closes:
+closes: wall-clock reads (``datetime.now()``, ``time.time()``, and the
+scheduler clocks ``time.monotonic()`` / ``time.monotonic_ns()``) and
+stdlib ``random``.  Every random decision must flow through the
+labelled streams of :mod:`repro.util.rng` (slugs ``wall-clock``,
+``raw-random``).  Worker-pool code that legitimately needs a deadline
+clock is not exempted wholesale: each read carries a reasoned
+``# lint: allow-wall-clock <why>`` suppression stating that the value
+never reaches benchmark results.  The *file-wide* form of that waiver
+is reserved for :mod:`repro.obs` (the tracer clock is the module's
+whole purpose); anywhere else it is flagged as
+``filewide-clock-waiver`` so a blanket waiver cannot silently creep
+into executor or driver code.
 
-* wall-clock reads (``datetime.now()``, ``time.time()``, and the
-  scheduler clocks ``time.monotonic()`` / ``time.monotonic_ns()``) and
-  stdlib ``random`` — every random decision must flow through the
-  labelled streams of :mod:`repro.util.rng` (slugs ``wall-clock``,
-  ``raw-random``).  Worker-pool code that legitimately needs a deadline
-  clock is not exempted wholesale: each read carries a reasoned
-  ``# lint: allow-wall-clock <why>`` suppression stating that the value
-  never reaches benchmark results.  The *file-wide* form of that waiver
-  is reserved for :mod:`repro.obs` (the tracer clock is the module's
-  whole purpose); anywhere else it is flagged as
-  ``filewide-clock-waiver`` so a blanket waiver cannot silently creep
-  into executor or driver code;
-* result lists built directly from iterating an unordered collection
-  (a ``set`` or dict view) with no intervening ``sorted()`` / ``top_k``
-  — the rows would depend on hash seeding or insertion accidents
-  (slug ``unordered-return``, query modules only, heuristic: only
-  directly returned comprehensions are examined).
+Row order is not checked here: ``tests/test_query_contracts.py``
+compares every read's rows across permuted loads and across
+``PYTHONHASHSEED`` values.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator
 
 from repro.lint.base import FileContext
 from repro.lint.diagnostics import Diagnostic
@@ -134,75 +130,3 @@ def check_clock_and_random(ctx: FileContext) -> list[Diagnostic]:
                 )
     return found
 
-
-def _is_unordered_source(node: ast.expr) -> bool:
-    """Syntactically a set or dict-view expression."""
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call):
-        if isinstance(node.func, ast.Name) and node.func.id in (
-            "set", "frozenset"
-        ):
-            return True
-        if isinstance(node.func, ast.Attribute) and node.func.attr in (
-            "values", "keys", "items"
-        ):
-            return True
-    if isinstance(node, ast.BinOp) and isinstance(
-        node.op, (ast.BitOr, ast.BitAnd, ast.Sub)
-    ):
-        return _is_unordered_source(node.left) or _is_unordered_source(
-            node.right
-        )
-    return False
-
-
-def _is_ordering_call(node: ast.AST) -> bool:
-    """A call that imposes a total order on its input."""
-    if not isinstance(node, ast.Call):
-        return False
-    if isinstance(node.func, ast.Name) and node.func.id in (
-        "sorted", "top_k"
-    ):
-        return True
-    # TopK accumulators surface rows through .result().
-    return isinstance(node.func, ast.Attribute) and node.func.attr == "result"
-
-
-def _unordered_comprehensions(node: ast.AST) -> Iterator[ast.AST]:
-    """Comprehensions over unordered sources, skipping ordered subtrees."""
-    if _is_ordering_call(node):
-        return
-    if isinstance(node, (ast.ListComp, ast.GeneratorExp)):
-        if node.generators and _is_unordered_source(node.generators[0].iter):
-            yield node
-    elif (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id in ("list", "tuple")
-        and node.args
-        and _is_unordered_source(node.args[0])
-    ):
-        yield node
-    for child in ast.iter_child_nodes(node):
-        yield from _unordered_comprehensions(child)
-
-
-def check_unordered_return(ctx: FileContext) -> list[Diagnostic]:
-    """Flag result lists materialized straight off an unordered source."""
-    if not ctx.in_queries:
-        return []
-    found: list[Diagnostic] = []
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.Return) or node.value is None:
-            continue
-        for offender in _unordered_comprehensions(node.value):
-            found.append(
-                ctx.diagnostic(
-                    offender, RULE, "unordered-return",
-                    "returned rows iterate an unordered set/dict view "
-                    "with no sorted()/top_k step; the row order would "
-                    "depend on hash seeding",
-                )
-            )
-    return found

@@ -24,8 +24,9 @@ machine-checked for modules under ``repro/queries/``:
   the same ``SocialGraph`` accessor surface and engine operators as
   the live store.
 
-The collection list lives in :mod:`repro.lint.spec` and is
-cross-checked against ``SocialGraph.RAW_TABLES`` by the meta-tests.
+The collection list below is a deliberate copy of
+``SocialGraph.RAW_TABLES`` (the checker never imports the code it
+checks); ``tests/test_lint.py`` keeps the two equal.
 """
 
 from __future__ import annotations
@@ -34,9 +35,21 @@ import ast
 
 from repro.lint.base import FileContext
 from repro.lint.diagnostics import Diagnostic
-from repro.lint.spec import RAW_STORE_COLLECTIONS
 
 RULE = "R2"
+
+#: Raw collection attributes of ``SocialGraph`` that query modules must
+#: not iterate directly: its entity and relation tables, plus the
+#: ``messages()`` full-scan accessor.
+RAW_STORE_COLLECTIONS: frozenset[str] = frozenset(
+    {
+        "places", "organisations", "tag_classes", "tags",
+        "persons", "forums", "posts", "comments",
+        "knows_edges", "likes_edges", "memberships",
+        "study_at", "work_at",
+        "messages",
+    }
+)
 
 #: Variable names treated as the store in query code.
 _STORE_NAMES = frozenset({"graph", "store"})

@@ -12,7 +12,11 @@ and the simulation end / 5)``.  Keep groups with at least
 ``min_count`` messages (the draft uses a threshold of 100 at SF100
 scale; micro-scale runs pass a smaller one).
 
-Sort: message count descending, then tag name ascending. Limit 100.
+Sort: message count descending, then tag name ascending, then the rest
+of the group key — age group, gender, month, country name — ascending,
+in the 2018 draft's order. Limit 100.  Count and tag name alone tie
+between groups (one tag, several months or age groups), so without the
+full key the top 100 would depend on the order the store was loaded in.
 Choke points: 1.1, 1.2, 1.3, 2.1, 2.3, 3.1, 3.2, 8.5.
 """
 
@@ -24,7 +28,7 @@ from typing import NamedTuple
 from repro.graph.store import SocialGraph
 from repro.queries.bi.base import BiQueryInfo
 from repro.util.dates import Date, date_to_datetime, month_of
-from repro.engine import scan_messages, sort_key, top_k
+from repro.engine import scan_messages, top_k
 
 INFO = BiQueryInfo(
     2,
@@ -85,7 +89,15 @@ def bi2(
                     groups[key] += 1
 
     top = top_k(
-        INFO.limit, key=lambda r: sort_key((r.message_count, True), (r.tag_name, False))
+        INFO.limit,
+        key=lambda r: (
+            -r.message_count,
+            r.tag_name,
+            r.age_group,
+            r.person_gender,
+            r.message_month,
+            r.country_name,
+        ),
     )
     for (country, month, gender, age_group, tag_name), count in groups.items():
         if count >= min_count:

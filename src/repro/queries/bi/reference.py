@@ -14,8 +14,6 @@ implementations row-for-row on generated graphs.
 
 # lint: file-allow-raw-store the reference implementations are deliberately
 #   engine-free so they share no code path with what they cross-validate
-# lint: file-allow-unordered-return every reference query ends in a full
-#   sorted() over the materialized rows; intermediates need no order
 # lint: file-allow-partial-order sort keys mirror the main implementations,
 #   ending in the group-by key (unique per row) where no id exists
 

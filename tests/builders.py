@@ -7,11 +7,18 @@ the scenario it asserts about.
 
 Timestamps use :func:`repro.util.dates.make_datetime`; helper ``ts``
 abbreviates day-resolution instants inside 2012.
+
+``run_every_read`` runs every registered BI, IC and IS read on a graph
+of any layout, for the tests that compare or record what reads do.
 """
 
 from __future__ import annotations
 
+from repro.engine import expand
 from repro.graph.store import SocialGraph
+from repro.queries.bi import ALL_QUERIES
+from repro.queries.interactive.complex import ALL_COMPLEX
+from repro.queries.interactive.short import ALL_SHORT
 from repro.schema.entities import (
     Comment,
     Forum,
@@ -44,6 +51,42 @@ def ts(month: int, day: int, year: int = 2012, hour: int = 12) -> int:
 
 def birthday(year: int, month: int = 6, day: int = 15) -> int:
     return make_date(year, month, day)
+
+
+def run_query(query, graph, binding):
+    """A query outcome: its rows, or the error a stale binding caused."""
+    try:
+        return query(graph, *binding)
+    except KeyError as exc:
+        return ("KeyError", str(exc))
+
+
+def run_every_read(graph, params, source) -> dict[tuple[str, int], list]:
+    """Every registered BI, IC and IS read on ``graph``, two bindings
+    each (IS on two Persons, Posts and Comments of ``source``), keyed by
+    ``(family, number)``.  A friends expansion also runs, for the tests
+    that record which containers reads touch; its rows are not kept,
+    as adjacency order is not a result order."""
+    persons = params.person_ids(2)
+    messages = [*sorted(source.posts)[:2], *sorted(source.comments)[:2]]
+    outcomes: dict[tuple[str, int], list] = {}
+    for number, (query, _) in sorted(ALL_QUERIES.items()):
+        outcomes["bi", number] = [
+            run_query(query, graph, binding)
+            for binding in params.bi(number, count=2)
+        ]
+    for number, (query, _) in sorted(ALL_COMPLEX.items()):
+        outcomes["ic", number] = [
+            run_query(query, graph, binding)
+            for binding in params.interactive(number, count=2)
+        ]
+    for number, (query, _) in sorted(ALL_SHORT.items()):
+        outcomes["is", number] = [
+            run_query(query, graph, (entity_id,))
+            for entity_id in (persons if number <= 3 else messages)
+        ]
+    list(expand(persons, graph.friends_of))
+    return outcomes
 
 
 def build_micro_world() -> SocialGraph:

@@ -38,15 +38,7 @@ from repro.queries.interactive.complex import ALL_COMPLEX
 from repro.queries.interactive.deletes import ALL_DELETES
 from repro.queries.interactive.updates import ALL_UPDATES
 
-from tests.builders import GraphBuilder, TAG_JAZZ, TAG_ROCK, ts
-
-
-def _run_query(query, graph, binding):
-    """A query outcome: its rows, or the error a stale binding caused."""
-    try:
-        return query(graph, *binding)
-    except KeyError as exc:
-        return ("KeyError", str(exc))
+from tests.builders import GraphBuilder, TAG_JAZZ, TAG_ROCK, run_query, ts
 
 
 # -- DeltaOverlay unit tests ------------------------------------------------
@@ -379,7 +371,7 @@ def overlay_phase(tiny_net, tiny_config):
         for number in spot_numbers:
             query = ALL_QUERIES[number][0]
             binding = params.bi(number, count=1)[0]
-            assert _run_query(query, view, binding) == _run_query(
+            assert run_query(query, view, binding) == run_query(
                 query, live, binding
             ), f"BI {number} diverged mid-stream"
     freezes_after = registry().counter("repro_frozen_freezes_total").value
@@ -399,9 +391,9 @@ _ORDER_FREE_COUNTERS = (
 
 
 def _run_counted(query, graph, binding):
-    """``_run_query`` plus the order-insensitive counters it tallied."""
+    """``run_query`` plus the order-insensitive counters it tallied."""
     reset_counters()
-    outcome = _run_query(query, graph, binding)
+    outcome = run_query(query, graph, binding)
     tally = reset_counters()
     return outcome, {name: getattr(tally, name) for name in _ORDER_FREE_COUNTERS}
 
@@ -459,7 +451,7 @@ class TestOverlayProcessFork:
         for number in sorted(ALL_QUERIES)[:6]:
             binding = tuple(params.bi(number, count=1)[0])
             tasks.append(Task(len(tasks), "bi", (number, binding)))
-            expected.append(_run_query(ALL_QUERIES[number][0], live, binding))
+            expected.append(run_query(ALL_QUERIES[number][0], live, binding))
         pool = WorkerPool(workers=2, snapshot=InlineSnapshot(view))
         merged = pool.run(tasks)
         assert all(outcome.ok for outcome in merged.outcomes)

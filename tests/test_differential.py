@@ -26,6 +26,8 @@ from repro.queries.interactive.updates import ALL_UPDATES
 from repro.util.dates import make_date, make_datetime
 from repro.util.rng import DeterministicRng
 
+from tests.builders import run_query
+
 
 @pytest.fixture(scope="module")
 def nx_graph(small_graph):
@@ -116,14 +118,6 @@ def _apply_ops(graph: SocialGraph, ops: list) -> None:
             pass
 
 
-def _run_query(query, graph, binding):
-    """A query outcome: its rows, or the error a stale binding caused."""
-    try:
-        return query(graph, *binding)
-    except KeyError as exc:
-        return ("KeyError", str(exc))
-
-
 @pytest.fixture(scope="module")
 def engine_graph_pair(tiny_net):
     """(indexed, naive) graphs bulk-loaded from the same network, then
@@ -162,7 +156,7 @@ class TestIndexedVersusNaive:
         indexed, naive = engine_graph_pair
         for number, (query, _) in sorted(ALL_QUERIES.items()):
             for binding in engine_params.bi(number, count=2):
-                assert _run_query(query, indexed, binding) == _run_query(
+                assert run_query(query, indexed, binding) == run_query(
                     query, naive, binding
                 ), f"BI {number} diverged for {binding}"
 
@@ -170,7 +164,7 @@ class TestIndexedVersusNaive:
         indexed, naive = engine_graph_pair
         for number, (query, _) in sorted(ALL_COMPLEX.items()):
             for binding in engine_params.interactive(number, count=2):
-                assert _run_query(query, indexed, binding) == _run_query(
+                assert run_query(query, indexed, binding) == run_query(
                     query, naive, binding
                 ), f"IC {number} diverged for {binding}"
 

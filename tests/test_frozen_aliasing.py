@@ -30,11 +30,9 @@ from repro.graph.delta import OverlaidGraph
 from repro.graph.frozen import FreezeManager, FrozenGraph, StringColumn, freeze
 from repro.graph.store import SocialGraph
 from repro.params.curation import ParameterGenerator
-from repro.queries.bi import ALL_QUERIES
-from repro.queries.interactive.complex import ALL_COMPLEX
 
-from tests.builders import GraphBuilder, ts
-from tests.test_delta_overlay import _apply_batch, _run_query
+from tests.builders import GraphBuilder, run_every_read, ts
+from tests.test_delta_overlay import _apply_batch
 
 #: The frozen column families: ``FrozenGraph``'s underscore-prefixed
 #: class-level annotations.
@@ -148,15 +146,6 @@ def _column_digests(graph):
     return {name: _digest(getattr(graph, name)) for name in COLUMN_FAMILIES}
 
 
-def _run_every_read(graph, params):
-    for number, (query, _) in sorted(ALL_QUERIES.items()):
-        for binding in params.bi(number, count=2):
-            _run_query(query, graph, binding)
-    for number, (query, _) in sorted(ALL_COMPLEX.items()):
-        for binding in params.interactive(number, count=2):
-            _run_query(query, graph, binding)
-
-
 @pytest.fixture(scope="module")
 def streamed(tiny_net, tiny_config):
     """``(live, tables, manager, params)``: ``tables`` holds every
@@ -195,13 +184,13 @@ class TestInvariantsOverTheStream:
         assert unshared == [], f"overlay view lost {unshared}"
 
     def test_reads_never_mutate_frozen_columns(self, streamed):
-        """All 25 BI and 14 IC reads, on a clean snapshot and on the
+        """Every BI, IC and IS read, on a clean snapshot and on the
         overlaid view the stream left behind, leave every column family
         the same object with the same contents."""
         live, _, manager, params = streamed
         for graph in (freeze(live), manager.frozen()):
             before = _column_digests(graph)
-            _run_every_read(graph, params)
+            run_every_read(graph, params, live)
             after = _column_digests(graph)
             changed = [name for name in COLUMN_FAMILIES
                        if after[name] != before[name]]

@@ -27,6 +27,8 @@ from repro.queries.interactive.deletes import ALL_DELETES
 from repro.queries.interactive.updates import ALL_UPDATES
 from repro.util.rng import DeterministicRng
 
+from tests.builders import run_query
+
 
 def _apply_ops(graph: SocialGraph, ops: list) -> None:
     """Apply a write sequence the way the driver does (stale operations
@@ -39,14 +41,6 @@ def _apply_ops(graph: SocialGraph, ops: list) -> None:
                 ALL_DELETES[op.operation_id][0](graph, op.params)
         except (KeyError, ValueError):
             pass
-
-
-def _run_query(query, graph, binding):
-    """A query outcome: its rows, or the error a stale binding caused."""
-    try:
-        return query(graph, *binding)
-    except KeyError as exc:
-        return ("KeyError", str(exc))
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +82,7 @@ def mutated_phase(tiny_net, tiny_config):
 def _assert_all_bi_match(live, frozen, params, phase):
     for number, (query, _) in sorted(ALL_QUERIES.items()):
         for binding in params.bi(number, count=2):
-            assert _run_query(query, frozen, binding) == _run_query(
+            assert run_query(query, frozen, binding) == run_query(
                 query, live, binding
             ), f"BI {number} diverged ({phase}) for {binding}"
 
@@ -96,7 +90,7 @@ def _assert_all_bi_match(live, frozen, params, phase):
 def _assert_all_ic_match(live, frozen, params, phase):
     for number, (query, _) in sorted(ALL_COMPLEX.items()):
         for binding in params.interactive(number, count=2):
-            assert _run_query(query, frozen, binding) == _run_query(
+            assert run_query(query, frozen, binding) == run_query(
                 query, live, binding
             ), f"IC {number} diverged ({phase}) for {binding}"
 

@@ -6,9 +6,8 @@ Three layers:
   (line, rule, slug) of every finding;
 * the CLI contract — exit codes 0/1/2 and the ``--format=github``
   annotation format, via subprocess;
-* meta-tests — the repository's own ``src`` tree lints clean, and the
-  spec transcriptions in ``repro.lint.spec`` (double-entry bookkeeping)
-  agree with the runtime registries they duplicate.
+* meta-tests — the repository's own ``src`` tree lints clean, and R2's
+  copy of the store's raw table names agrees with ``SocialGraph``.
 """
 
 from __future__ import annotations
@@ -18,30 +17,16 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
-from repro.analysis.chokepoints import CHOKE_POINTS
 from repro.graph.store import SocialGraph
 from repro.lint import Diagnostic, format_diagnostic, lint_source
 from repro.lint.checker import audit_paths, audit_source, lint_paths
-from repro.lint.spec import (
-    RAW_STORE_COLLECTIONS,
-    SPEC_BI_LIMITS,
-    SPEC_BI_PARAMS,
-    SPEC_IC_LIMITS,
-    SPEC_IC_PARAMS,
-    VALID_CHOKE_POINTS,
-    camel_to_snake,
-)
-from repro.params.files import BI_PARAM_NAMES, INTERACTIVE_PARAM_NAMES
-from repro.queries.bi import ALL_QUERIES
-from repro.queries.interactive.complex import ALL_COMPLEX
+from repro.lint.rules_engine import RAW_STORE_COLLECTIONS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: A path classified as query code but exempt from R3's filename rules.
+#: A path classified as query code.
 QUERY_PATH = "src/repro/queries/bi/frag.py"
-#: A path outside repro/queries/ (R2/R4/unordered-return do not apply).
+#: A path outside repro/queries/ (R2/R4 do not apply).
 PLAIN_PATH = "src/repro/datagen/frag.py"
 
 
@@ -114,32 +99,6 @@ class TestR1Determinism:
     def test_rng_module_itself_is_exempt(self):
         src = "import random\n\nrng = random.Random(7)\n"
         assert lint_source("src/repro/util/rng.py", src) == []
-
-    def test_unordered_return_flagged(self):
-        src = (
-            "def rows(groups):\n"
-            "    return [v for v in groups.values()]\n"
-        )
-        assert slugs_at(lint_source(QUERY_PATH, src)) == [
-            (2, "R1", "unordered-return")
-        ]
-
-    def test_unordered_return_set_literal(self):
-        src = "def rows(a, b):\n    return list({a, b} | {b})\n"
-        assert slugs_at(lint_source(QUERY_PATH, src)) == [
-            (2, "R1", "unordered-return")
-        ]
-
-    def test_sorted_return_is_fine(self):
-        src = (
-            "def rows(groups):\n"
-            "    return sorted(v for v in groups.values())\n"
-        )
-        assert lint_source(QUERY_PATH, src) == []
-
-    def test_unordered_return_only_applies_to_queries(self):
-        src = "def rows(groups):\n    return list(groups.values())\n"
-        assert lint_source(PLAIN_PATH, src) == []
 
     def test_filewide_clock_waiver_flagged_outside_obs(self):
         # The blanket waiver both gets reported (its own slug, so it
@@ -249,103 +208,6 @@ class TestR2EngineDiscipline:
     def test_delta_import_outside_queries_allowed(self):
         src = "from repro.graph.delta import DeltaOverlay\n"
         assert lint_source(PLAIN_PATH, src) == []
-
-
-# ---------------------------------------------------------------------------
-# R3 — query contracts
-# ---------------------------------------------------------------------------
-
-GOOD_BI6 = """\
-from typing import NamedTuple
-
-from repro.queries.bi.base import BiQueryInfo
-
-INFO = BiQueryInfo(6, "Most authoritative users", ("2.3", "8.2"))
-
-
-class Bi6Row(NamedTuple):
-    person_id: int
-    score: int
-
-
-def bi6(graph, tag):
-    return []
-"""
-
-
-class TestR3QueryContracts:
-    def test_good_bi_module_is_clean(self):
-        assert lint_source("src/repro/queries/bi/q06.py", GOOD_BI6) == []
-
-    def test_number_mismatch_flagged(self):
-        diags = lint_source("src/repro/queries/bi/q07.py", GOOD_BI6)
-        assert ("INFO.number is 6" in d.message for d in diags)
-        assert any(d.slug == "query-contract" and d.rule == "R3"
-                   for d in diags)
-
-    def test_missing_info_flagged(self):
-        src = "def bi6(graph, tag):\n    return []\n"
-        diags = lint_source("src/repro/queries/bi/q06.py", src)
-        assert any("INFO = BiQueryInfo" in d.message for d in diags)
-
-    def test_unknown_choke_point_flagged(self):
-        bad = GOOD_BI6.replace('("2.3", "8.2")', '("2.3", "9.9")')
-        diags = lint_source("src/repro/queries/bi/q06.py", bad)
-        assert [d.slug for d in diags] == ["query-contract"]
-        assert "'9.9'" in diags[0].message
-
-    def test_wrong_limit_flagged(self):
-        bad = GOOD_BI6.replace(
-            '("2.3", "8.2")', '("2.3", "8.2"), limit=10'
-        )
-        diags = lint_source("src/repro/queries/bi/q06.py", bad)
-        assert any("limit 10" in d.message for d in diags)
-
-    def test_wrong_params_flagged(self):
-        bad = GOOD_BI6.replace("def bi6(graph, tag):", "def bi6(graph, t):")
-        diags = lint_source("src/repro/queries/bi/q06.py", bad)
-        assert any("do not match the curated" in d.message for d in diags)
-
-    def test_extra_defaulted_params_allowed(self):
-        ok = GOOD_BI6.replace(
-            "def bi6(graph, tag):", "def bi6(graph, tag, weight=1):"
-        )
-        assert lint_source("src/repro/queries/bi/q06.py", ok) == []
-
-    def test_extra_param_without_default_flagged(self):
-        bad = GOOD_BI6.replace(
-            "def bi6(graph, tag):", "def bi6(graph, tag, weight):"
-        )
-        diags = lint_source("src/repro/queries/bi/q06.py", bad)
-        assert any("do not match the curated" in d.message for d in diags)
-
-    def test_missing_row_type_flagged(self):
-        bad = GOOD_BI6.replace("class Bi6Row(NamedTuple)",
-                               "class Bi6Result(NamedTuple)")
-        diags = lint_source("src/repro/queries/bi/q06.py", bad)
-        assert any("Bi6Row" in d.message for d in diags)
-
-    def test_ic_entry_point_without_info_flagged(self):
-        src = "def ic7(graph, person_id):\n    return []\n"
-        diags = lint_source(
-            "src/repro/queries/interactive/complex_part1.py", src
-        )
-        assert any("no matching IC7_INFO" in d.message for d in diags)
-
-    def test_good_ic_module_is_clean(self):
-        src = (
-            "from typing import NamedTuple\n\n"
-            "from repro.queries.interactive.base import IcQueryInfo\n\n"
-            'IC7_INFO = IcQueryInfo("complex", 7, "Recent likers",\n'
-            '                       ("2.3", "5.1"), limit=20)\n\n\n'
-            "class Ic7Row(NamedTuple):\n"
-            "    person_id: int\n\n\n"
-            "def ic7(graph, person_id):\n"
-            "    return []\n"
-        )
-        assert lint_source(
-            "src/repro/queries/interactive/complex_part1.py", src
-        ) == []
 
 
 # ---------------------------------------------------------------------------
@@ -744,61 +606,13 @@ def test_cli_on_repository_src_exits_zero():
 
 
 # ---------------------------------------------------------------------------
-# Meta: the spec transcriptions agree with the runtime registries
+# Meta: R2's copy of the store's table names agrees with the store
 # ---------------------------------------------------------------------------
 
 
 class TestSpecTranscriptionsInSync:
-    def test_choke_points_match_appendix_registry(self):
-        assert VALID_CHOKE_POINTS == {cp.identifier for cp in CHOKE_POINTS}
-
-    def test_bi_params_match_parameter_files(self):
-        assert SPEC_BI_PARAMS == BI_PARAM_NAMES
-
-    def test_ic_params_match_parameter_files(self):
-        assert SPEC_IC_PARAMS == INTERACTIVE_PARAM_NAMES
-
-    def test_bi_limits_match_query_info(self):
-        declared = {n: info.limit for n, (_, info) in ALL_QUERIES.items()}
-        assert declared == SPEC_BI_LIMITS
-
-    def test_ic_limits_match_query_info(self):
-        declared = {n: info.limit for n, (_, info) in ALL_COMPLEX.items()}
-        assert declared == SPEC_IC_LIMITS
-
     def test_raw_collections_match_store_surface(self):
         assert RAW_STORE_COLLECTIONS == SocialGraph.RAW_TABLES
         graph = SocialGraph()
         for name in RAW_STORE_COLLECTIONS:
             assert hasattr(graph, name), name
-
-    @pytest.mark.parametrize(
-        "camel,snake",
-        [
-            ("date", "date"),
-            ("startDate", "start_date"),
-            ("endOfSimulation", "end_of_simulation"),
-            ("countryXName", "country_x_name"),
-            ("person1Id", "person1_id"),
-            ("tagClass", "tag_class"),
-        ],
-    )
-    def test_camel_to_snake(self, camel, snake):
-        assert camel_to_snake(camel) == snake
-
-    def test_entry_point_signatures_match_runtime(self):
-        """The R3 expectation, checked dynamically as a belt-and-braces."""
-        import inspect
-
-        for number, (func, _) in ALL_QUERIES.items():
-            expected = ["graph"] + [
-                camel_to_snake(p) for p in SPEC_BI_PARAMS[number]
-            ]
-            actual = list(inspect.signature(func).parameters)
-            assert actual[: len(expected)] == expected, f"BI {number}"
-        for number, (func, _) in ALL_COMPLEX.items():
-            expected = ["graph"] + [
-                camel_to_snake(p) for p in SPEC_IC_PARAMS[number]
-            ]
-            actual = list(inspect.signature(func).parameters)
-            assert actual[: len(expected)] == expected, f"IC {number}"

@@ -18,7 +18,7 @@ import struct
 import pytest
 
 from repro.driver.bi_driver import build_microbatches
-from repro.engine import expand, scan_messages
+from repro.engine import scan_messages
 from repro.graph.frozen import FreezeManager, FrozenGraph, freeze
 from repro.graph.snapfile import (
     FLAT_COLUMNS,
@@ -34,11 +34,9 @@ from repro.graph.snapfile import (
 )
 from repro.graph.store import SocialGraph
 from repro.params.curation import ParameterGenerator
-from repro.queries.bi import ALL_QUERIES
-from repro.queries.interactive.complex import ALL_COMPLEX
-from repro.queries.interactive.short import ALL_SHORT
 
-from tests.test_delta_overlay import _apply_batch, _run_query
+from tests.builders import run_every_read
+from tests.test_delta_overlay import _apply_batch
 
 
 def snapshot_bytes(graph: FrozenGraph) -> bytes:
@@ -260,24 +258,6 @@ class TestLiveViewsRejected:
             manager.detach()
 
 
-def _run_every_read(graph, params, source):
-    """Every registered BI, IC and IS read on ``graph`` (two bindings
-    each; IS on two Persons, Posts and Comments of ``source``), plus a
-    friends expansion."""
-    persons = params.person_ids(2)
-    messages = [*sorted(source.posts)[:2], *sorted(source.comments)[:2]]
-    for number, (query, _) in sorted(ALL_QUERIES.items()):
-        for binding in params.bi(number, count=2):
-            _run_query(query, graph, binding)
-    for number, (query, _) in sorted(ALL_COMPLEX.items()):
-        for binding in params.interactive(number, count=2):
-            _run_query(query, graph, binding)
-    for number, (query, _) in sorted(ALL_SHORT.items()):
-        for entity_id in persons if number <= 3 else messages:
-            _run_query(query, graph, (entity_id,))
-    list(expand(persons, graph.friends_of))
-
-
 class TestEverySerializedColumnIsRead:
     """The file carries exactly the columns a read uses: a column no
     accessor or operator reads is build and serialization cost for
@@ -297,7 +277,7 @@ class TestEverySerializedColumnIsRead:
         # (``_derive_lookups``) do not count — only queries' and
         # operators' do.
         snapshot.__class__ = RecordingGraph
-        _run_every_read(snapshot, params, tiny_graph)
+        run_every_read(snapshot, params, tiny_graph)
         unread = [
             name
             for name in FLAT_COLUMNS + STRING_COLUMNS + KEYED_COLUMNS
@@ -343,14 +323,14 @@ class TestEveryLiveContainerIsRead:
         manager = FreezeManager(live, compact_fraction=math.inf)
         try:
             snapshot = recorded(manager.frozen)
-            recorded(_run_every_read, snapshot, params, live)
+            recorded(run_every_read, snapshot, params, live)
             recorded(write_snapshot, snapshot, io.BytesIO())
             batches = build_microbatches(tiny_net)
             for batch in batches[: len(batches) // 2]:
                 _apply_batch(live, batch)
             overlaid = manager.frozen()
             assert overlaid.delta_overlay is not None
-            recorded(_run_every_read, overlaid, params, live)
+            recorded(run_every_read, overlaid, params, live)
         finally:
             manager.detach()
         containers = {

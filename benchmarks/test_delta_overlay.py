@@ -19,6 +19,7 @@ import time
 
 from benchmarks._record import record
 from repro.driver.bi_driver import build_microbatches
+from repro.exec.snapshot import SnapshotConfig
 from repro.graph.frozen import FreezeManager
 from repro.graph.store import SocialGraph
 from repro.params.curation import ParameterGenerator
@@ -107,7 +108,9 @@ def test_default_threshold_compacts_but_stays_ahead(base_net):
     """At the default compaction threshold the lifecycle may fold the
     overlay back a few times, but never once per batch — the point of
     thresholding — and still returns the baseline's rows."""
-    rows, elapsed, manager = _run_mix(base_net, compact_fraction=None)
+    rows, elapsed, manager = _run_mix(
+        base_net, compact_fraction=SnapshotConfig().compact_fraction
+    )
     baseline_rows, _, _ = _run_mix(base_net, compact_fraction=math.inf)
     assert rows == baseline_rows
     batches = len(build_microbatches(base_net))

@@ -19,19 +19,14 @@ import time
 from benchmarks._record import record
 from repro.analysis.profile import bench_profile_section
 from repro.driver.bi_driver import power_test
-from repro.obs import ENV_PROFILE_HZ, disable_profiling, enable_profiling
+from repro.obs import disable_profiling, enable_profiling
 
 PROFILE_HZ = 97.0
 ROUNDS = 7
 OVERHEAD_BUDGET = 0.05
 
 
-def test_profiler_overhead_under_budget(base_graph, base_params,
-                                        monkeypatch):
-    # The pool re-enables profiling from the environment
-    # (ensure_profiling), which would contaminate the unprofiled rounds
-    # when CI runs the whole smoke suite under REPRO_PROFILE_HZ.
-    monkeypatch.delenv(ENV_PROFILE_HZ, raising=False)
+def test_profiler_overhead_under_budget(base_graph, base_params):
     disable_profiling()
 
     def once():

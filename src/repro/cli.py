@@ -133,12 +133,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
         enable_tracing()
     if args.profile:
-        from repro.obs import DEFAULT_PROFILE_HZ, ProfileConfig, enable_profiling
+        from repro.obs import enable_profiling
 
-        # One parse point for the rate: REPRO_PROFILE_HZ when set, else
-        # the default — the flag itself is what turns profiling on.
-        config = ProfileConfig().resolved()
-        enable_profiling(config.hz if config.enabled else DEFAULT_PROFILE_HZ)
+        enable_profiling()
     bench = _bench(args)
     if args.workload == "bi":
         if args.query is not None:
@@ -182,7 +179,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         workload="interactive",
         workers=args.workers,
         timeout=args.timeout,
-        snapshot=_snapshot_config(args),
         options={
             "time_compression_ratio": args.tcr,
             "max_updates": args.updates,
@@ -247,11 +243,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _snapshot_config(args: argparse.Namespace) -> SnapshotConfig | None:
-    """The run's :class:`SnapshotConfig`, or ``None`` when no snapshot
-    flag was given (knobs then resolve from the environment)."""
-    if args.snapshot_provider is None and args.morsel_size is None:
-        return None
+def _snapshot_config(args: argparse.Namespace) -> SnapshotConfig:
+    """The run's :class:`SnapshotConfig` from the snapshot flags."""
     return SnapshotConfig(
         provider=args.snapshot_provider, morsel_size=args.morsel_size
     )
@@ -265,19 +258,17 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
                         choices=["power", "throughput", "concurrent"],
                         help="BI execution mode (default power)")
     parser.add_argument("--workers", type=int, default=None,
-                        help="worker-pool size (default: REPRO_EXEC_WORKERS"
-                             " or serial)")
+                        help="worker-pool size (default: 1; --mode"
+                             " concurrent: one per stream)")
     parser.add_argument("--timeout", type=float, default=None,
                         help="per-query deadline in seconds")
-    parser.add_argument("--snapshot-provider", default=None,
+    parser.add_argument("--snapshot-provider", default="inline",
                         choices=list(PROVIDERS),
                         help="how process workers obtain the read"
-                             " snapshot (default: REPRO_SNAPSHOT_PROVIDER"
-                             " or inline)")
+                             " snapshot (default: inline)")
     parser.add_argument("--morsel-size", type=int, default=None,
                         help="split heavy BI scans into morsels of this"
-                             " many rows across the pool (default:"
-                             " REPRO_MORSEL_SIZE or off)")
+                             " many rows across the pool (default: off)")
     parser.add_argument("--query", type=int, choices=range(1, 26),
                         help="run one BI query instead of a full test")
     parser.add_argument("--limit", type=int, default=10,
@@ -304,9 +295,8 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
                         help="write the run's metrics in Prometheus text"
                              " exposition format to FILE")
     parser.add_argument("--profile", default=None, metavar="DIR",
-                        help="enable the sampling profiler (rate:"
-                             " REPRO_PROFILE_HZ or 97 Hz) and write"
-                             " profile.collapsed to DIR")
+                        help="enable the sampling profiler (97 Hz)"
+                             " and write profile.collapsed to DIR")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -22,7 +22,7 @@ import time
 from pathlib import Path
 from typing import Any
 
-from repro.core.run import RunReport, RunRequest
+from repro.core.run import DEFAULT_STREAMS, RunReport, RunRequest
 from repro.datagen.config import DatagenConfig
 from repro.datagen.generator import SocialNetworkData, generate
 from repro.datagen.scale import approximate_scale_factor, persons_for_scale_factor
@@ -37,7 +37,6 @@ from repro.driver.bi_driver import (
 )
 from repro.driver.mix import frequencies_for_scale_factor
 from repro.driver.runner import Driver, DriverReport
-from repro.exec import SnapshotConfig
 from repro.driver.scheduler import Scheduler
 from repro.driver.validation import create_validation_set, validate
 from repro.graph.store import SocialGraph
@@ -182,10 +181,8 @@ class SocialNetworkBenchmark:
         seed: int = 1234,
         max_updates: int | None = None,
         include_deletes: bool = False,
-        workers: int | None = None,
+        workers: int = 1,
         timeout: float | None = None,
-        freeze_reads: bool = False,
-        snapshot: SnapshotConfig | None = None,
     ) -> DriverReport:
         """Run the Interactive workload: replay the update streams with
         frequency-interleaved complex reads and short-read sequences.
@@ -197,8 +194,6 @@ class SocialNetworkBenchmark:
         ``workers > 1`` parallelises consecutive complex reads on the
         :mod:`repro.exec` pool (flat-out runs only); the results log
         merges deterministically — identical content to a serial run.
-        ``freeze_reads`` additionally serves those parallel read flushes
-        from a refrozen columnar snapshot (see :meth:`Driver.run`).
         """
         updates = build_update_streams(self.network)
         if max_updates is not None:
@@ -216,10 +211,7 @@ class SocialNetworkBenchmark:
         }
         schedule = Scheduler(updates, frequencies, parameters, deletes).build()
         driver = Driver(self.graph, time_compression_ratio, seed=seed)
-        return driver.run(
-            schedule, workers=workers, timeout=timeout,
-            freeze_reads=freeze_reads, snapshot=snapshot
-        )
+        return driver.run(schedule, workers=workers, timeout=timeout)
 
     def run(self, request: RunRequest) -> RunReport:
         """Execute one benchmark run described by a :class:`RunRequest`.
@@ -248,12 +240,6 @@ class SocialNetworkBenchmark:
 
     def _dispatch(self, request: RunRequest) -> RunReport:
         opts = dict(request.options)
-        # One SnapshotConfig per run: ``request.snapshot`` wins; the
-        # legacy ``freeze`` option fills its freeze knob; everything
-        # still unset resolves against the environment inside each
-        # test.  The Interactive driver keeps its opt-in freeze default
-        # (reads interleave with writes).
-        config = request.snapshot or SnapshotConfig(freeze=opts.get("freeze"))
         if request.workload == "interactive":
             return self.run_driver(
                 time_compression_ratio=opts.get("time_compression_ratio", 0.0),
@@ -262,8 +248,6 @@ class SocialNetworkBenchmark:
                 include_deletes=opts.get("include_deletes", False),
                 workers=request.workers,
                 timeout=request.timeout,
-                freeze_reads=opts.get("freeze", False),
-                snapshot=config,
             )
         if request.mode == "power":
             return power_test(
@@ -273,7 +257,7 @@ class SocialNetworkBenchmark:
                 bindings_per_query=opts.get("bindings_per_query", 1),
                 workers=request.workers,
                 timeout=request.timeout,
-                snapshot=config,
+                snapshot=request.snapshot,
             )
         if request.mode == "throughput":
             batches = build_microbatches(
@@ -287,16 +271,16 @@ class SocialNetworkBenchmark:
                 reads_per_batch=opts.get("reads_per_batch", 5),
                 workers=request.workers,
                 timeout=request.timeout,
-                snapshot=config,
+                snapshot=request.snapshot,
             )
         return concurrent_read_test(
             self.graph,
             self.params,
-            streams=opts.get("streams", 4),
+            streams=opts.get("streams", DEFAULT_STREAMS),
             queries_per_stream=opts.get("queries_per_stream", 25),
             workers=request.workers,
             timeout=request.timeout,
-            snapshot=config,
+            snapshot=request.snapshot,
         )
 
     # -- validation ----------------------------------------------------------

@@ -24,10 +24,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
-if TYPE_CHECKING:  # pragma: no cover - typing-only import
-    from repro.exec.snapshot import SnapshotConfig
+from repro.exec.snapshot import SnapshotConfig
 
 #: The methods every report class must implement (contract-tested).
 REPORT_SURFACE = ("summary_dict", "format_table", "write_results_dir")
@@ -38,6 +37,8 @@ WORKLOAD_MODES = {
     "bi": ("power", "throughput", "concurrent"),
     "interactive": ("driver",),
 }
+#: Stream count of the concurrent read test when none is given.
+DEFAULT_STREAMS = 4
 
 
 @dataclass
@@ -52,14 +53,15 @@ class RunRequest:
 
     workload: str = "bi"
     mode: str | None = None
-    #: Worker-pool size; ``None`` defers to ``REPRO_EXEC_WORKERS``/serial.
+    #: Worker-pool size; ``None`` selects the mode's own: one worker
+    #: per stream for ``concurrent``, else 1 (serial).
     workers: int | None = None
     #: Per-query deadline in seconds (``None`` = no deadline).
     timeout: float | None = None
     seed: int = 1234
-    #: How workers obtain graph state (provider, freeze, compaction,
-    #: morsel size); ``None`` = all knobs from environment/defaults.
-    snapshot: "SnapshotConfig | None" = None
+    #: How BI workers obtain graph state (provider, freeze, compaction,
+    #: morsel size); the Interactive driver reads the live store.
+    snapshot: SnapshotConfig = field(default_factory=SnapshotConfig)
     options: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -75,9 +77,16 @@ class RunRequest:
                 f"mode for workload {self.workload!r} must be one of "
                 f"{modes}, got {self.mode!r}"
             )
+        if self.workers is None:
+            self.workers = (
+                self.options.get("streams", DEFAULT_STREAMS)
+                if self.mode == "concurrent"
+                else 1
+            )
 
     def configuration_dict(self) -> dict[str, Any]:
-        """The request as a §6.2 ``configuration.json`` document."""
+        """The request as a §6.2 ``configuration.json`` document: every
+        setting the run used, defaults included."""
         document = {
             "workload": self.workload,
             "mode": self.mode,
@@ -86,7 +95,7 @@ class RunRequest:
             "seed": self.seed,
             **self.options,
         }
-        if self.snapshot is not None:
+        if self.workload == "bi":
             document["snapshot"] = self.snapshot.configuration_dict()
         return document
 

@@ -38,7 +38,7 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from repro.core.run import RunReport
+from repro.core.run import DEFAULT_STREAMS, RunReport
 from repro.datagen.delete_streams import DeleteOperation, build_delete_streams
 from repro.datagen.generator import SocialNetworkData
 from repro.datagen.update_streams import UpdateOperation, build_update_streams
@@ -50,7 +50,6 @@ from repro.exec import (
     WorkerPool,
     accumulate_exec_stats,
     provide_snapshot,
-    resolve_workers,
 )
 from repro.graph.frozen import FreezeManager, freeze
 from repro.graph.store import SocialGraph
@@ -62,12 +61,6 @@ from repro.queries.bi.morsels import MORSEL_PLANS
 from repro.queries.interactive.deletes import ALL_DELETES
 from repro.queries.interactive.updates import ALL_UPDATES
 from repro.util.dates import MILLIS_PER_DAY
-
-
-def _snapshot_config(snapshot: SnapshotConfig | None) -> SnapshotConfig:
-    """One resolved :class:`SnapshotConfig` from the ``snapshot``
-    argument (environment knobs fill anything left unset)."""
-    return (snapshot or SnapshotConfig()).resolved()
 
 
 @dataclass
@@ -141,9 +134,9 @@ def power_test(
     params: ParameterGenerator,
     scale_factor: float,
     bindings_per_query: int = 1,
-    workers: int | None = None,
+    workers: int = 1,
     timeout: float | None = None,
-    snapshot: SnapshotConfig | None = None,
+    snapshot: SnapshotConfig = SnapshotConfig(),
 ) -> PowerTestResult:
     """Run every BI read and score the snapshot.
 
@@ -174,10 +167,8 @@ def power_test(
     plus the merge, its operator counters the morsels' merged tallies
     (identical to the serial scan's).
     """
-    config = _snapshot_config(snapshot)
-    read_graph = freeze(graph) if config.freeze else graph
-    workers_n = resolve_workers(workers)
-    morselized = config.morsel_size is not None and workers_n > 1
+    read_graph = freeze(graph) if snapshot.freeze else graph
+    morselized = snapshot.morsel_size is not None and workers > 1
     numbers = sorted(ALL_QUERIES)
     bindings = {n: params.bi(n, count=bindings_per_query) for n in numbers}
     tasks: list[Task] = []
@@ -188,8 +179,8 @@ def power_test(
         for binding in bindings[number]:
             binding = tuple(binding)
             if plan is not None:
-                assert config.morsel_size is not None
-                ranges = plan.ranges(read_graph, binding, config.morsel_size)
+                assert snapshot.morsel_size is not None
+                ranges = plan.ranges(read_graph, binding, snapshot.morsel_size)
                 if len(ranges) > 1:
                     start = len(tasks)
                     for index, (kind, lo, hi) in enumerate(ranges):
@@ -202,7 +193,7 @@ def power_test(
                     continue
             tasks.append(Task(len(tasks), "bi", (number, binding)))
             entries.append((number, binding, len(tasks) - 1, 1, None))
-    handle = provide_snapshot(read_graph, config=config)
+    handle = provide_snapshot(read_graph, config=snapshot)
     try:
         with span("power_test", kind="phase", queries=len(numbers),
                   bindings=len(entries)):
@@ -401,11 +392,11 @@ class ConcurrentTestResult(RunReport):
 def concurrent_read_test(
     graph: SocialGraph,
     params: ParameterGenerator,
-    streams: int = 4,
+    streams: int = DEFAULT_STREAMS,
     queries_per_stream: int = 25,
     workers: int | None = None,
     timeout: float | None = None,
-    snapshot: SnapshotConfig | None = None,
+    snapshot: SnapshotConfig = SnapshotConfig(),
 ) -> ConcurrentTestResult:
     """The multi-stream read throughput test (CP-6, "Parallelism and
     Concurrency"): ``streams`` concurrent clients each run a de-phased
@@ -425,11 +416,10 @@ def concurrent_read_test(
     """
     if streams <= 0 or queries_per_stream <= 0:
         raise ValueError("streams and queries_per_stream must be positive")
-    config = _snapshot_config(snapshot)
-    read_graph = freeze(graph) if config.freeze else graph
+    read_graph = freeze(graph) if snapshot.freeze else graph
     bindings = {n: params.bi(n, count=3) for n in sorted(ALL_QUERIES)}
     handle = provide_snapshot(
-        read_graph, context={"bindings": bindings}, config=config
+        read_graph, context={"bindings": bindings}, config=snapshot
     )
     try:
         pool = WorkerPool(
@@ -464,9 +454,9 @@ def throughput_test(
     params: ParameterGenerator,
     batches: list[Microbatch],
     reads_per_batch: int = 5,
-    workers: int | None = None,
+    workers: int = 1,
     timeout: float | None = None,
-    snapshot: SnapshotConfig | None = None,
+    snapshot: SnapshotConfig = SnapshotConfig(),
 ) -> ThroughputTestResult:
     """Alternate write microbatches with blocks of BI reads.
 
@@ -499,10 +489,9 @@ def throughput_test(
     ``compact_fraction=0.0`` to restore the old refreeze-every-batch
     behaviour (the benchmark baseline).
     """
-    config = _snapshot_config(snapshot)
     manager = (
-        FreezeManager(graph, compact_fraction=config.compact_fraction)
-        if config.freeze
+        FreezeManager(graph, compact_fraction=snapshot.compact_fraction)
+        if snapshot.freeze
         else None
     )
     batch_seconds: list[float] = []

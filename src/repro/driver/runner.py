@@ -33,13 +33,11 @@ from repro.core.run import RunReport
 from repro.driver.scheduler import ScheduledOperation
 from repro.exec import (
     InlineSnapshot,
-    SnapshotConfig,
     Task,
     WorkerPool,
     accumulate_exec_stats,
     resolve_workers,
 )
-from repro.graph.frozen import FreezeManager
 from repro.graph.store import SocialGraph
 from repro.obs.metrics import registry, summarize_seconds
 from repro.obs.spans import span
@@ -210,10 +208,8 @@ class Driver:
         self,
         schedule: list[ScheduledOperation],
         warmup_reads: int = 0,
-        workers: int | None = None,
+        workers: int = 1,
         timeout: float | None = None,
-        freeze_reads: bool = False,
-        snapshot: SnapshotConfig | None = None,
     ) -> DriverReport:
         """Execute the schedule.
 
@@ -234,27 +230,11 @@ class Driver:
         operation individually and stay serial.  ``timeout`` bounds each
         parallel read: a hard deadline (worker killed, read retried once,
         then recorded) wherever a run holds more than one read; see
-        :class:`repro.exec.WorkerPool`.
-
-        ``freeze_reads`` (opt-in, parallel runs only) serves each flush
-        of buffered complex reads from the
-        :class:`~repro.graph.frozen.FreezeManager`'s merge-on-read
-        view: one initial :class:`~repro.graph.frozen.FrozenGraph`
-        freeze, then a delta-overlaid snapshot that absorbs the writes
-        in between (compacting — refreezing — only when the overlay
-        outgrows its threshold; see :mod:`repro.graph.delta`).  The
-        Interactive workload interleaves writes at operation
-        granularity, so freezing pays off only when the schedule has
-        long read runs — hence opt-in, unlike the BI tests.  Results
-        are identical either way.
-
-        ``snapshot`` (a :class:`repro.exec.SnapshotConfig`) supplies the
-        delta-compaction fraction for ``freeze_reads``; reads always go
-        through :class:`~repro.exec.InlineSnapshot` here — the view
-        changes between flushes, so a mapped provider would re-serialize
-        it per flush where forked workers inherit it for free.
+        :class:`repro.exec.WorkerPool`.  Reads run on the live store
+        through :class:`~repro.exec.InlineSnapshot`: it changes between
+        flushes, and forked workers inherit it for free.
         """
-        workers_n = resolve_workers(workers)
+        workers = resolve_workers(workers)
         if warmup_reads:
             warmed = 0
             for op in schedule:
@@ -266,10 +246,8 @@ class Driver:
                     break
         with span("driver", kind="phase", operations=len(schedule),
                   tcr=self.tcr):
-            if workers_n > 1 and self.tcr == 0 and schedule:
-                report = self._run_parallel(
-                    schedule, workers_n, timeout, freeze_reads, snapshot
-                )
+            if workers > 1 and self.tcr == 0 and schedule:
+                report = self._run_parallel(schedule, workers, timeout)
             else:
                 report = self._run_paced(schedule)
         _record_log_metrics(report.log)
@@ -346,8 +324,6 @@ class Driver:
         schedule: list[ScheduledOperation],
         workers: int,
         timeout: float | None,
-        freeze_reads: bool = False,
-        snapshot: SnapshotConfig | None = None,
     ) -> DriverReport:
         """Flat-out replay with parallel complex reads.
 
@@ -355,29 +331,22 @@ class Driver:
         consecutive complex reads execute together on a pool forked
         from the current graph (reads are pure).  Log entries and
         short-read sequences are emitted in schedule order afterwards,
-        which is what keeps the merged log deterministic.
+        which is what keeps the merged log deterministic.  Each pool
+        is sized to its run (``min(workers, len(run))``); ``exec_stats``
+        reports the requested ``workers``.
         """
         log: list[ResultsLogEntry] = []
         exec_stats: dict = {}
-        config = (snapshot or SnapshotConfig()).resolved()
-        manager = (
-            FreezeManager(
-                self.graph, compact_fraction=config.compact_fraction
-            )
-            if freeze_reads
-            else None
-        )
         run_start = time.perf_counter()
         buffer: list[ScheduledOperation] = []
 
         def flush() -> None:
             if not buffer:
                 return
-            read_graph = self.graph if manager is None else manager.frozen()
             pool = WorkerPool(
                 workers=min(workers, len(buffer)),
                 timeout=timeout,
-                snapshot=InlineSnapshot(read_graph),
+                snapshot=InlineSnapshot(self.graph),
             )
             merged = pool.run(
                 Task(index, "ic", (op.number, tuple(op.params)))
@@ -400,17 +369,15 @@ class Driver:
                 self._run_short_sequences(op.number, result, log)
             buffer.clear()
 
-        try:
-            for op in schedule:
-                if op.kind == "complex":
-                    buffer.append(op)
-                    continue
-                flush()
-                self._apply_write(op, run_start, log)
+        for op in schedule:
+            if op.kind == "complex":
+                buffer.append(op)
+                continue
             flush()
-        finally:
-            if manager is not None:
-                manager.detach()
+            self._apply_write(op, run_start, log)
+        flush()
+        if exec_stats:
+            exec_stats.update(workers=workers, backend="process")
         return DriverReport(
             log=log,
             wall_seconds=time.perf_counter() - run_start,

@@ -9,16 +9,13 @@ snapshot file), with bounded dispatch, per-task
 deadlines, retry-once-then-record semantics, worker-crash recovery and
 deterministic result merging.  ``power_test`` / ``throughput_test`` /
 ``concurrent_read_test`` and the Interactive driver all execute through
-it; ``REPRO_EXEC_WORKERS`` sets the default worker count everywhere.
+it, each taking its worker count as a ``workers`` argument.
 """
 
 from repro.exec.pool import (
-    ENV_START_METHOD,
-    ENV_WORKERS,
     PoolResult,
     WorkerPool,
     accumulate_exec_stats,
-    default_workers,
     resolve_workers,
 )
 from repro.exec.snapshot import (
@@ -45,8 +42,6 @@ from repro.exec.tasks import (
 
 __all__ = [
     "PROVIDERS",
-    "ENV_START_METHOD",
-    "ENV_WORKERS",
     "InlineSnapshot",
     "MmapFileSnapshot",
     "PoolResult",
@@ -63,7 +58,6 @@ __all__ = [
     "accumulate_exec_stats",
     "activate",
     "active",
-    "default_workers",
     "provide_snapshot",
     "register_task_kind",
     "resolve_workers",

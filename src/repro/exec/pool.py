@@ -57,7 +57,6 @@ decide when a stuck worker is killed.
 from __future__ import annotations
 
 import multiprocessing as mp
-import os
 import pickle
 import time
 from collections import deque
@@ -72,7 +71,6 @@ from repro.obs.metrics import registry, subtract_snapshot
 from repro.obs.prof import (
     disable_profiling,
     enable_profiling,
-    ensure_profiling,
     profiler,
     subtract_profile,
 )
@@ -94,41 +92,19 @@ from repro.exec.tasks import (
     run_task,
 )
 
-#: Environment override for the default worker count (the CI matrix runs
-#: the tier-1 suite with ``REPRO_EXEC_WORKERS=2`` to exercise the
-#: parallel paths everywhere).
-ENV_WORKERS = "REPRO_EXEC_WORKERS"
-
-#: Environment override for the process pool's start method
-#: (``fork``/``spawn``/``forkserver``).  The default prefers ``fork``
-#: where available; the override exists so the spawn ship/materialize
-#: path — the one real multi-host deployments and macOS use — can be
-#: exercised on Linux in CI.
-ENV_START_METHOD = "REPRO_EXEC_START_METHOD"
-
-
-def default_workers() -> int:
-    """Worker count when a caller passes ``workers=None``: the
-    ``REPRO_EXEC_WORKERS`` environment variable, else 1 (serial)."""
-    raw = os.environ.get(ENV_WORKERS, "").strip()
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{ENV_WORKERS} must be an integer, got {raw!r}"
-        ) from None
-    return max(1, value)
-
-
-def resolve_workers(workers: int | None) -> int:
-    """Validate an explicit worker count or fall back to the default."""
-    if workers is None:
-        return default_workers()
+def resolve_workers(workers: int) -> int:
+    """Validate a worker count (at least one)."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
     return workers
+
+
+def start_method() -> str:
+    """The process pool's start method: ``fork`` where the platform
+    offers it (workers inherit the snapshot copy-on-write), else
+    ``spawn`` (the snapshot ships by value).  Not a setting; tests
+    patch this function to exercise the spawn path on Linux."""
+    return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
 
 
 @dataclass
@@ -358,16 +334,15 @@ class _ProcWorker:
 class WorkerPool:
     """Run tasks over N workers with deadlines, retries and recovery.
 
-    ``workers=None`` resolves through :func:`resolve_workers` (the
-    ``REPRO_EXEC_WORKERS`` environment default); ``workers=1`` executes
-    serially in-process, anything above on one process per worker
+    ``workers=1`` (the default) executes serially in-process,
+    anything above on one process per worker
     (:attr:`backend` reports which).  ``queue_depth`` bounds how many
     tasks are pulled ahead of the workers (default ``2 * workers``).
     """
 
     def __init__(
         self,
-        workers: int | None = None,
+        workers: int = 1,
         timeout: float | None = None,
         queue_depth: int | None = None,
         snapshot: SnapshotHandle | None = None,
@@ -387,10 +362,6 @@ class WorkerPool:
 
     def run(self, tasks: Iterable[Task]) -> PoolResult:
         """Execute all tasks; outcomes merge back in submission order."""
-        # Environment-driven profiling (REPRO_PROFILE_HZ) starts here so
-        # any benchmark that reaches a pool is profiled without code
-        # changes; a no-op when unset or already running.
-        ensure_profiling()
         stats = _RunStats()
         started = time.perf_counter()
         if self.workers == 1:
@@ -528,18 +499,10 @@ class WorkerPool:
     def _run_process(
         self, tasks: Iterable[Task], stats: _RunStats
     ) -> list[TaskOutcome]:
-        available = mp.get_all_start_methods()
-        method = os.environ.get(ENV_START_METHOD, "").strip()
-        if method and method not in available:
-            raise ValueError(
-                f"{ENV_START_METHOD}={method!r} is not available here "
-                f"(choices: {', '.join(available)})"
-            )
-        if not method:
-            method = "fork" if "fork" in available else "spawn"
+        method = start_method()
         context = mp.get_context(method)
         payload = None
-        if context.get_start_method() != "fork":
+        if method != "fork":
             payload = pickle.dumps(self.snapshot.ship())
         # Fork inheritance: children see the handle activated here.
         previous = activate(self.snapshot)

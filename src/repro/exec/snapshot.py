@@ -5,11 +5,8 @@ receives graph state through one typed surface:
 
 * :class:`SnapshotConfig` — the declarative knobs (provider, freeze,
   compaction fraction, morsel size), threaded through ``RunRequest``
-  and both drivers.  Two environment variables
-  (``REPRO_SNAPSHOT_PROVIDER``, ``REPRO_MORSEL_SIZE``) are documented
-  fallbacks parsed in exactly one place: :meth:`SnapshotConfig.resolved`.
-  ``freeze`` (default on) and the compaction fraction (default 0.25)
-  have no environment fallback: they are arguments.
+  and the BI tests.  Every knob is an argument with its real default
+  in the dataclass field; nothing is read from the environment.
 * :class:`SnapshotHandle` — the protocol every provider implements: a
   ``graph``, a ``context`` dict for task runners, ``ship()`` to cross a
   process boundary, ``bytes_mapped()`` and ``close()``.
@@ -47,7 +44,7 @@ import os
 import pickle
 import tempfile
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
 
 from repro.obs.metrics import registry
@@ -56,8 +53,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.graph.store import SocialGraph
 
 __all__ = [
-    "ENV_MORSEL_SIZE",
-    "ENV_PROVIDER",
     "PROVIDERS",
     "AttachedSnapshot",
     "InlineSnapshot",
@@ -70,77 +65,48 @@ __all__ = [
     "provide_snapshot",
 ]
 
-ENV_PROVIDER = "REPRO_SNAPSHOT_PROVIDER"
-ENV_MORSEL_SIZE = "REPRO_MORSEL_SIZE"
-
 #: Recognized snapshot providers, in documentation order.
 PROVIDERS = ("inline", "mmap_file")
 
 
 @dataclass(frozen=True)
 class SnapshotConfig:
-    """Declarative snapshot knobs; ``None`` fields fall back to the
-    environment, then to the defaults, via :meth:`resolved` — the only
-    place the snapshot environment variables are parsed.
+    """Declarative snapshot knobs, validated on construction.
 
     ``provider`` picks how process workers obtain graph state;
-    ``freeze`` whether drivers freeze the live store for read phases
-    (default on, no environment fallback);
+    ``freeze`` whether drivers freeze the live store for read phases;
     ``compact_fraction`` the delta-overlay compaction threshold
-    (default 0.25, no environment fallback);
+    (``0.0`` refreezes on any write; negative or NaN is rejected);
     ``morsel_size`` enables morsel-driven intra-query parallelism for
     queries with a registered morsel plan (``None`` disables);
     ``directory`` where ``mmap_file`` snapshots are written (system
     temp dir when unset).
     """
 
-    provider: str | None = None
-    freeze: bool | None = None
-    compact_fraction: float | None = None
+    provider: str = "inline"
+    freeze: bool = True
+    compact_fraction: float = 0.25
     morsel_size: int | None = None
     directory: str | None = None
 
-    def resolved(self) -> "SnapshotConfig":
-        """This config with every ``None`` knob replaced by its
-        environment fallback or default (``directory`` stays as
-        given)."""
-        provider = self.provider
-        if provider is None:
-            provider = os.environ.get(ENV_PROVIDER, "").strip() or "inline"
-        if provider not in PROVIDERS:
+    def __post_init__(self) -> None:
+        if self.provider not in PROVIDERS:
             raise ValueError(
-                f"unknown snapshot provider {provider!r}; "
+                f"unknown snapshot provider {self.provider!r}; "
                 f"expected one of {', '.join(PROVIDERS)}"
             )
-        freeze = True if self.freeze is None else self.freeze
-        fraction = self.compact_fraction
-        if fraction is None:
-            fraction = 0.25
-        if not fraction >= 0.0:  # also rejects NaN, which compares false
+        if not self.compact_fraction >= 0.0:  # also rejects NaN
             raise ValueError("compact fraction must be >= 0")
-        morsel_size = self.morsel_size
-        if morsel_size is None:
-            raw = os.environ.get(ENV_MORSEL_SIZE)
-            if raw is not None and raw.strip():
-                morsel_size = int(raw)
-        if morsel_size is not None and morsel_size <= 0:
+        if self.morsel_size is not None and self.morsel_size <= 0:
             raise ValueError("morsel size must be positive")
-        return replace(
-            self,
-            provider=provider,
-            freeze=freeze,
-            compact_fraction=fraction,
-            morsel_size=morsel_size,
-        )
 
     def configuration_dict(self) -> dict[str, Any]:
-        """The resolved knobs as report-friendly primitives."""
-        resolved = self.resolved()
+        """The knobs as report-friendly primitives."""
         return {
-            "provider": resolved.provider,
-            "freeze": resolved.freeze,
-            "compact_fraction": resolved.compact_fraction,
-            "morsel_size": resolved.morsel_size,
+            "provider": self.provider,
+            "freeze": self.freeze,
+            "compact_fraction": self.compact_fraction,
+            "morsel_size": self.morsel_size,
         }
 
 
@@ -389,7 +355,7 @@ class MmapFileSnapshot:
 def provide_snapshot(
     graph: "SocialGraph | None" = None,
     context: dict[str, Any] | None = None,
-    config: SnapshotConfig | None = None,
+    config: SnapshotConfig = SnapshotConfig(),
 ) -> SnapshotHandle:
     """Build the configured provider's handle around ``graph``.
 
@@ -398,15 +364,14 @@ def provide_snapshot(
     bumps ``repro_snapshot_fallback_total`` so the degradation is
     visible instead of silent.
     """
-    resolved = (config or SnapshotConfig()).resolved()
-    if resolved.provider == "inline" or graph is None:
+    if config.provider == "inline" or graph is None:
         return InlineSnapshot(graph, context)
     if not getattr(graph, "is_frozen", False):
         registry().counter(
             "repro_snapshot_fallback_total", reason="live-graph"
         ).inc()
         return InlineSnapshot(graph, context)
-    return MmapFileSnapshot(graph, context, directory=resolved.directory)
+    return MmapFileSnapshot(graph, context, directory=config.directory)
 
 
 #: The handle visible to task runners in this process.  In the parent

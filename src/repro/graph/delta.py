@@ -41,9 +41,9 @@ read time.
 
 Compaction — folding the overlay into a fresh snapshot — is the
 :class:`~repro.graph.frozen.FreezeManager`'s job: it refreezes when the
-overlay outgrows :func:`resolve_compact_fraction` of the base row
-count (the ``compact_fraction=`` argument, default 0.25; ``0.0``
-degenerates to the old refreeze-per-batch behaviour).
+overlay outgrows its ``compact_fraction=`` argument (default 0.25)
+times the base row count; ``0.0`` degenerates to the old
+refreeze-per-batch behaviour.
 
 Query code must not import this module (lint R2, slug
 ``frozen-import``) for the same reason it must not import
@@ -65,7 +65,6 @@ __all__ = [
     "FAMILIES",
     "DeltaOverlay",
     "OverlaidGraph",
-    "resolve_compact_fraction",
 ]
 
 #: The dynamic row families the overlay tracks, in gauge-label order.
@@ -401,18 +400,3 @@ class OverlaidGraph(FrozenGraph):
         # New person (not in the columns) or deleted person — the live
         # path also preserves the KeyError a deleted id must raise.
         return SocialGraph.country_of_person(self, person_id)
-
-
-def resolve_compact_fraction(fraction: float | None) -> float:
-    """Resolve the compaction threshold: an explicit value, else 0.25
-    (negative and NaN values are a :class:`ValueError`; there is no
-    environment fallback).  The FreezeManager compacts (refreezes)
-    when the overlay's outstanding rows exceed ``fraction`` of the base
-    snapshot's row count; ``0.0`` therefore compacts on any write — the old
-    refreeze-per-microbatch behaviour, kept as the benchmark baseline.
-    """
-    from repro.exec.snapshot import SnapshotConfig
-
-    resolved = SnapshotConfig(compact_fraction=fraction).resolved()
-    assert resolved.compact_fraction is not None
-    return resolved.compact_fraction

@@ -539,23 +539,25 @@ class FreezeManager:
 
     Every ``frozen()`` call republishes the per-family
     ``repro_delta_rows`` / ``repro_delta_tombstones`` gauges.
-    ``compact_fraction`` defaults through
-    :func:`repro.graph.delta.resolve_compact_fraction` (0.25); ``0.0``
-    restores the old refreeze-on-any-write behaviour, which the
-    delta-overlay benchmark uses as its baseline.  ``detach()``
+    ``compact_fraction`` defaults to 0.25 (negative or NaN is a
+    :class:`ValueError`); ``0.0`` restores the old
+    refreeze-on-any-write behaviour, which the delta-overlay benchmark
+    uses as its baseline.  ``detach()``
     unregisters the write-hook — drivers call it when their run ends so
     abandoned managers stop recording.
     """
 
     def __init__(
-        self, graph: SocialGraph, compact_fraction: float | None = None
+        self, graph: SocialGraph, compact_fraction: float = 0.25
     ):
         if isinstance(graph, FrozenGraph):
             raise TypeError("FreezeManager wraps the live store")
-        from repro.graph.delta import DeltaOverlay, resolve_compact_fraction
+        if not compact_fraction >= 0.0:  # also rejects NaN
+            raise ValueError("compact fraction must be >= 0")
+        from repro.graph.delta import DeltaOverlay
 
         self.graph = graph
-        self.compact_fraction = resolve_compact_fraction(compact_fraction)
+        self.compact_fraction = compact_fraction
         self.overlay = DeltaOverlay()
         graph.register_delta_hook(self.overlay.record)
         self._snapshot: FrozenGraph | None = None

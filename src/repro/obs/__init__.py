@@ -36,13 +36,10 @@ from repro.obs.metrics import (
 )
 from repro.obs.prof import (
     DEFAULT_PROFILE_HZ,
-    ENV_PROFILE_HZ,
     NullProfiler,
-    ProfileConfig,
     SamplingProfiler,
     disable_profiling,
     enable_profiling,
-    ensure_profiling,
     profiler,
     profiling_enabled,
     set_profiler,
@@ -72,7 +69,6 @@ from repro.obs.timeline import (
 
 __all__ = [
     "DEFAULT_PROFILE_HZ",
-    "ENV_PROFILE_HZ",
     "FIXED_SERIES",
     "LATENCY_BUCKETS_SECONDS",
     "MIRRORED_PREFIXES",
@@ -84,7 +80,6 @@ __all__ = [
     "MetricsRegistry",
     "NullProfiler",
     "NullTracer",
-    "ProfileConfig",
     "ResourceTimeline",
     "SamplingProfiler",
     "Span",
@@ -93,7 +88,6 @@ __all__ = [
     "disable_tracing",
     "enable_profiling",
     "enable_tracing",
-    "ensure_profiling",
     "graft_outcomes",
     "profiler",
     "profiling_enabled",

@@ -13,11 +13,9 @@ benchmark phase.  Alongside the stacks, every tick records a
 :class:`~repro.obs.timeline.ResourceTimeline` sample (CPU, RSS, GC,
 snapshot/delta/morsel gauges).
 
-Configuration is parsed in one place, mirroring
-``repro.exec.snapshot.SnapshotConfig``: :class:`ProfileConfig` with
-:meth:`ProfileConfig.resolved` reading :data:`ENV_PROFILE_HZ`
-(``REPRO_PROFILE_HZ``; unset/``0`` disables).  The CLI ``--profile
-DIR`` flag and the pool's :func:`ensure_profiling` both go through it.
+Profiling starts only when asked for: :func:`enable_profiling` with
+a rate (default :data:`DEFAULT_PROFILE_HZ`), which is what the CLI
+``--profile DIR`` flag calls.
 
 Crossing the process-pool boundary mirrors the metrics registry:
 workers snapshot before a task, :func:`subtract_profile` after it, ship
@@ -36,15 +34,11 @@ from __future__ import annotations
 import os
 import sys
 import threading
-from dataclasses import dataclass, replace
 from types import FrameType
 from typing import Any, Mapping
 
 from repro.obs.spans import tracer
 from repro.obs.timeline import ResourceTimeline, subtract_timeline
-
-#: The one environment knob, parsed only by :meth:`ProfileConfig.resolved`.
-ENV_PROFILE_HZ = "REPRO_PROFILE_HZ"
 
 #: Sampling rate used when profiling is requested without an explicit
 #: rate (a prime, so the sampler cannot phase-lock with periodic work).
@@ -53,39 +47,6 @@ DEFAULT_PROFILE_HZ = 97.0
 #: Deepest stack kept per sample; frames below the cut are dropped from
 #: the root end (the leaf — where time is actually spent — survives).
 MAX_STACK_DEPTH = 48
-
-
-@dataclass(frozen=True)
-class ProfileConfig:
-    """Profiler settings with one env-parse point, like ``SnapshotConfig``.
-
-    ``hz=None`` means "not configured": :meth:`resolved` fills it from
-    :data:`ENV_PROFILE_HZ`, falling back to 0.0 (disabled).  An explicit
-    ``hz`` always wins over the environment.
-    """
-
-    hz: float | None = None
-
-    def resolved(self) -> "ProfileConfig":
-        hz = self.hz
-        if hz is None:
-            raw = os.environ.get(ENV_PROFILE_HZ, "").strip()
-            if raw:
-                try:
-                    hz = float(raw)
-                except ValueError:
-                    raise ValueError(
-                        f"{ENV_PROFILE_HZ} must be a number (Hz), got {raw!r}"
-                    ) from None
-            else:
-                hz = 0.0
-        if hz < 0:
-            raise ValueError("profile hz must be >= 0 (0 disables)")
-        return replace(self, hz=hz)
-
-    @property
-    def enabled(self) -> bool:
-        return bool(self.hz)
 
 
 def _collapse(frame: FrameType | None) -> str:
@@ -273,17 +234,8 @@ def profiling_enabled() -> bool:
     return _PROFILER.enabled
 
 
-def enable_profiling(hz: float | None = None) -> SamplingProfiler:
-    """Install (and start) a fresh profiler.
-
-    ``hz=None`` resolves the rate from the environment
-    (:data:`ENV_PROFILE_HZ`), falling back to :data:`DEFAULT_PROFILE_HZ`
-    — an explicit call means profiling *is* wanted, so an unset
-    environment does not disable it here.
-    """
-    if hz is None:
-        config = ProfileConfig().resolved()
-        hz = config.hz if config.enabled else DEFAULT_PROFILE_HZ
+def enable_profiling(hz: float = DEFAULT_PROFILE_HZ) -> SamplingProfiler:
+    """Install (and start) a fresh profiler sampling at ``hz``."""
     previous = set_profiler(SamplingProfiler(hz=hz))
     previous.stop()
     return _PROFILER.start()
@@ -294,29 +246,13 @@ def disable_profiling() -> None:
     set_profiler(NullProfiler()).stop()
 
 
-def ensure_profiling() -> SamplingProfiler:
-    """Environment-driven enablement: start a profiler if
-    :data:`ENV_PROFILE_HZ` asks for one and none is running (the pool
-    calls this, so ``REPRO_PROFILE_HZ=97 make bench-smoke`` profiles
-    without code changes).  Returns the live profiler either way."""
-    if _PROFILER.enabled:
-        return _PROFILER
-    config = ProfileConfig().resolved()
-    if config.enabled:
-        return enable_profiling(config.hz)
-    return _PROFILER
-
-
 __all__ = [
     "DEFAULT_PROFILE_HZ",
-    "ENV_PROFILE_HZ",
     "MAX_STACK_DEPTH",
     "NullProfiler",
-    "ProfileConfig",
     "SamplingProfiler",
     "disable_profiling",
     "enable_profiling",
-    "ensure_profiling",
     "profiler",
     "profiling_enabled",
     "set_profiler",

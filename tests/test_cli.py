@@ -82,6 +82,49 @@ class TestRun:
         assert config["timeout"] == 30
         assert config["persons"] == 80
 
+    @pytest.mark.parametrize("mode,workers", [("power", 1), ("concurrent", 4)])
+    def test_results_dir_discloses_defaults(
+        self, tmp_path, capsys, mode, workers
+    ):
+        """With no flags, ``configuration.json`` still records the
+        worker count the mode ran with and the snapshot settings."""
+        results = tmp_path / "results"
+        code = main([
+            "run", "--persons", "80", "--mode", mode,
+            "--results-dir", str(results),
+        ])
+        assert code == 0
+        config = json.loads((results / "configuration.json").read_text())
+        summary = json.loads((results / "results_summary.json").read_text())
+        assert config["workers"] == workers
+        assert summary["exec"]["workers"] == workers
+        assert config["snapshot"] == {
+            "provider": "inline",
+            "freeze": True,
+            "compact_fraction": 0.25,
+            "morsel_size": None,
+        }
+
+    def test_power_then_throughput_on_two_workers(self, capsys):
+        code = main([
+            "run", "--persons", "80", "--throughput", "--workers", "2",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "power@SF" in out and "microbatches" in out
+
+    def test_interactive_deletes_on_two_workers(self, tmp_path, capsys):
+        results = tmp_path / "results"
+        code = main([
+            "run", "--workload", "interactive", "--persons", "80",
+            "--updates", "200", "--deletes", "--workers", "2",
+            "--results-dir", str(results),
+        ])
+        assert code == 0
+        summary = json.loads((results / "results_summary.json").read_text())
+        assert summary["exec"]["workers"] == 2
+        assert summary["exec"]["failures"] == 0
+
     def test_legacy_aliases_hidden_but_accepted(self, capsys):
         with pytest.raises(SystemExit):
             main(["--help"])

@@ -27,7 +27,6 @@ from repro.graph.delta import (
     DeltaOverlay,
     FAMILIES,
     OverlaidGraph,
-    resolve_compact_fraction,
 )
 from repro.graph.frozen import FreezeManager, FrozenGraph, freeze
 from repro.graph.store import SocialGraph
@@ -122,25 +121,18 @@ class TestDeltaOverlayRecord:
 
 
 class TestResolveCompactFraction:
+    """The threshold is ``FreezeManager``'s own argument, validated
+    there (the retired environment variable is covered with the others
+    in ``test_frozen.TestRetiredVariables``)."""
+
     def test_explicit_wins(self):
-        assert resolve_compact_fraction(0.1) == 0.1
-        assert resolve_compact_fraction(0.0) == 0.0
+        assert FreezeManager(SocialGraph(), 0.1).compact_fraction == 0.1
+        assert FreezeManager(SocialGraph(), 0.0).compact_fraction == 0.0
 
     def test_default(self):
-        assert resolve_compact_fraction(None) == 0.25
         assert FreezeManager(SocialGraph()).compact_fraction == 0.25
 
-    def test_environment_variable_is_ignored(self, monkeypatch):
-        """``REPRO_DELTA_COMPACT_FRACTION`` is no longer read: the
-        threshold is an argument only."""
-        for raw in ("0.75", "nan", "-1"):
-            monkeypatch.setenv("REPRO_DELTA_COMPACT_FRACTION", raw)
-            assert resolve_compact_fraction(None) == 0.25
-            assert resolve_compact_fraction(0.5) == 0.5
-
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_compact_fraction(-0.1)
         with pytest.raises(ValueError):
             FreezeManager(SocialGraph(), compact_fraction=-0.1)
 
@@ -148,12 +140,11 @@ class TestResolveCompactFraction:
         """NaN fails every comparison, so a ``< 0`` check would let it
         through and the manager would silently never compact."""
         with pytest.raises(ValueError):
-            resolve_compact_fraction(float("nan"))
-        with pytest.raises(ValueError):
             FreezeManager(SocialGraph(), compact_fraction=float("nan"))
 
     def test_infinity_pins_the_overlay(self):
-        assert resolve_compact_fraction(math.inf) == math.inf
+        manager = FreezeManager(SocialGraph(), compact_fraction=math.inf)
+        assert manager.compact_fraction == math.inf
 
 
 # -- FreezeManager lifecycle ------------------------------------------------

@@ -15,7 +15,6 @@ import pytest
 
 from repro.engine.stats import merge_counters
 from repro.exec import (
-    ENV_WORKERS,
     STATUS_CRASHED,
     STATUS_ERROR,
     STATUS_OK,
@@ -25,7 +24,6 @@ from repro.exec import (
     WorkerPool,
     activate,
     active,
-    default_workers,
     register_task_kind,
     resolve_workers,
     run_task,
@@ -98,23 +96,15 @@ def _call_tasks(specs):
 
 
 class TestResolveWorkers:
-    def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv(ENV_WORKERS, raising=False)
-        assert default_workers() == 1
-        assert resolve_workers(None) == 1
-
-    def test_env_var_sets_default(self, monkeypatch):
-        monkeypatch.setenv(ENV_WORKERS, "3")
-        assert resolve_workers(None) == 3
-
-    def test_env_var_must_be_integer(self, monkeypatch):
-        monkeypatch.setenv(ENV_WORKERS, "many")
-        with pytest.raises(ValueError, match=ENV_WORKERS):
-            default_workers()
+    def test_default_is_serial(self):
+        pool = WorkerPool()
+        assert pool.workers == 1
+        assert pool.backend == "serial"
 
     def test_explicit_count_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_WORKERS, "3")
+        monkeypatch.setenv("REPRO_EXEC_WORKERS", "3")
         assert resolve_workers(2) == 2
+        assert WorkerPool(workers=2).workers == 2
 
     def test_invalid_counts_rejected(self):
         with pytest.raises(ValueError):

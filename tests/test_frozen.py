@@ -243,18 +243,59 @@ class TestFreezeLifecycle:
 
 class TestResolveFreeze:
     def test_explicit_wins(self):
-        assert SnapshotConfig(freeze=True).resolved().freeze is True
-        assert SnapshotConfig(freeze=False).resolved().freeze is False
+        assert SnapshotConfig(freeze=True).freeze is True
+        assert SnapshotConfig(freeze=False).freeze is False
 
     def test_default_on(self):
-        assert SnapshotConfig().resolved().freeze is True
+        assert SnapshotConfig().freeze is True
 
-    def test_environment_variable_is_ignored(self, monkeypatch):
-        """``freeze`` is an argument only: the retired ``REPRO_FROZEN``
-        variable no longer turns the snapshot off."""
-        monkeypatch.setenv("REPRO_FROZEN", "0")
-        assert SnapshotConfig().resolved().freeze is True
-        assert SnapshotConfig(freeze=False).resolved().freeze is False
+
+#: Every environment variable that once changed a run setting, each
+#: with a value that would have changed (or broken) the run.
+RETIRED_VARIABLES = {
+    "REPRO_FROZEN": "0",
+    "REPRO_DELTA_COMPACT_FRACTION": "nan",
+    "REPRO_EXEC_WORKERS": "3",
+    "REPRO_SNAPSHOT_PROVIDER": "bogus",
+    "REPRO_MORSEL_SIZE": "0",
+    "REPRO_EXEC_START_METHOD": "telepathy",
+    "REPRO_PROFILE_HZ": "53",
+}
+
+
+def _double(value):
+    return 2 * value
+
+
+class TestRetiredVariables:
+    @pytest.mark.parametrize("name", sorted(RETIRED_VARIABLES))
+    def test_environment_variable_is_ignored(
+        self, name, monkeypatch, tiny_graph, tiny_config
+    ):
+        """Run settings are arguments only: a hostile value in any
+        retired variable changes nothing."""
+        from repro.exec import Task, WorkerPool
+        from repro.obs import disable_profiling, profiler
+
+        monkeypatch.setenv(name, RETIRED_VARIABLES[name])
+        assert WorkerPool().workers == 1
+        assert SnapshotConfig() == SnapshotConfig(
+            provider="inline", freeze=True, compact_fraction=0.25,
+            morsel_size=None, directory=None,
+        )
+        assert FreezeManager(SocialGraph()).compact_fraction == 0.25
+        params = ParameterGenerator(tiny_graph, tiny_config)
+        result = power_test(tiny_graph, params, 0.1)
+        assert result.exec_stats["workers"] == 1
+        assert result.exec_stats["failures"] == 0
+        try:
+            merged = WorkerPool(workers=2).run(
+                [Task(0, "call", (_double, (21,)))]
+            )
+            assert merged.values() == [42]
+            assert not profiler().enabled
+        finally:
+            disable_profiling()
 
 
 class TestPowerTestParity:

@@ -1,8 +1,8 @@
 """The sampling profiler and resource timeline (``repro.obs.prof`` /
 ``repro.obs.timeline``).
 
-The contracts under test mirror the metrics registry's: configuration
-is parsed in exactly one place (``ProfileConfig``), the delta algebra
+The contracts under test mirror the metrics registry's: profiling
+starts only through :func:`enable_profiling`, the delta algebra
 (``subtract_profile`` / ``subtract_timeline``) is exact, workers ship
 per-task deltas across the pool boundary and the parent grafts them in
 submission order — so a parallel run's profile section is
@@ -20,17 +20,14 @@ import pytest
 from repro.exec import Task, WorkerPool
 from repro.obs import (
     DEFAULT_PROFILE_HZ,
-    ENV_PROFILE_HZ,
     FIXED_SERIES,
     NullProfiler,
-    ProfileConfig,
     ResourceTimeline,
     SamplingProfiler,
     disable_profiling,
     disable_tracing,
     enable_profiling,
     enable_tracing,
-    ensure_profiling,
     profiler,
     profiling_enabled,
     reset_registry,
@@ -44,9 +41,8 @@ from repro.obs import (
 
 
 @pytest.fixture(autouse=True)
-def _clean_profiler(monkeypatch):
-    """Every test starts and ends with profiling off and the env unset."""
-    monkeypatch.delenv(ENV_PROFILE_HZ, raising=False)
+def _clean_profiler():
+    """Every test starts and ends with profiling off."""
     disable_profiling()
     yield
     disable_profiling()
@@ -61,47 +57,6 @@ def _spin(seconds):
     while time.perf_counter() < deadline:
         total += 1
     return total
-
-
-# ---------------------------------------------------------------------------
-# ProfileConfig — the one env-parse point
-# ---------------------------------------------------------------------------
-
-
-class TestProfileConfig:
-    def test_unset_env_disables(self, monkeypatch):
-        monkeypatch.delenv(ENV_PROFILE_HZ, raising=False)
-        config = ProfileConfig().resolved()
-        assert config.hz == 0.0
-        assert not config.enabled
-
-    def test_empty_env_disables(self, monkeypatch):
-        monkeypatch.setenv(ENV_PROFILE_HZ, "  ")
-        assert not ProfileConfig().resolved().enabled
-
-    def test_env_sets_rate(self, monkeypatch):
-        monkeypatch.setenv(ENV_PROFILE_HZ, "123.5")
-        config = ProfileConfig().resolved()
-        assert config.hz == 123.5
-        assert config.enabled
-
-    def test_explicit_hz_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_PROFILE_HZ, "50")
-        assert ProfileConfig(hz=200.0).resolved().hz == 200.0
-
-    def test_junk_env_rejected(self, monkeypatch):
-        monkeypatch.setenv(ENV_PROFILE_HZ, "fast")
-        with pytest.raises(ValueError, match=ENV_PROFILE_HZ):
-            ProfileConfig().resolved()
-
-    def test_negative_rate_rejected(self, monkeypatch):
-        monkeypatch.setenv(ENV_PROFILE_HZ, "-5")
-        with pytest.raises(ValueError, match="hz"):
-            ProfileConfig().resolved()
-
-    def test_zero_disables(self):
-        config = ProfileConfig(hz=0.0).resolved()
-        assert not config.enabled
 
 
 # ---------------------------------------------------------------------------
@@ -235,19 +190,8 @@ class TestSamplingProfiler:
         assert tagged, "no span-tagged stacks sampled"
         assert any("power_test/bi[3]" in s for s in tagged)
 
-    def test_enable_resolves_rate_from_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_PROFILE_HZ, "61")
-        assert enable_profiling().hz == 61.0
-
     def test_enable_without_env_uses_default(self):
         assert enable_profiling().hz == DEFAULT_PROFILE_HZ
-
-    def test_ensure_profiling_obeys_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_PROFILE_HZ, "53")
-        prof = ensure_profiling()
-        assert prof.enabled and prof.hz == 53.0
-        # Idempotent: a second ensure keeps the running profiler.
-        assert ensure_profiling() is prof
 
     def test_stop_is_idempotent(self):
         prof = enable_profiling(hz=200.0)

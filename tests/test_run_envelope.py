@@ -28,7 +28,6 @@ from repro.driver.bi_driver import (
     throughput_test,
 )
 from repro.driver.runner import DriverReport
-from repro.exec import ENV_START_METHOD
 from repro.graph.store import SocialGraph
 from repro.obs.metrics import registry, subtract_snapshot
 
@@ -116,7 +115,23 @@ class TestRunRequest:
             "timeout": 2.5,
             "seed": 1234,
             "streams": 8,
+            "snapshot": {
+                "provider": "inline",
+                "freeze": True,
+                "compact_fraction": 0.25,
+                "morsel_size": None,
+            },
         }
+
+    def test_workers_default_is_the_modes_own(self):
+        """No ``workers`` argument still discloses a count: one worker
+        per stream for ``concurrent``, serial everywhere else."""
+        assert RunRequest().workers == 1
+        assert RunRequest(workload="interactive").workers == 1
+        assert RunRequest(mode="concurrent").workers == 4
+        assert RunRequest(
+            mode="concurrent", options={"streams": 3}
+        ).workers == 3
 
 
 class TestDispatch:
@@ -138,6 +153,28 @@ class TestDispatch:
                 assert summary["workload"] == workload
                 assert summary["mode"] == mode
                 assert "exec" in summary
+
+    @pytest.mark.parametrize(
+        "workload,mode,options",
+        [
+            ("bi", "power", {}),
+            ("bi", "throughput", {"reads_per_batch": 2}),
+            ("bi", "concurrent", {"streams": 2, "queries_per_stream": 2}),
+            ("interactive", "driver", {"max_updates": 120}),
+        ],
+    )
+    def test_every_mode_runs_on_two_workers(
+        self, tiny_net, workload, mode, options
+    ):
+        report = SocialNetworkBenchmark(tiny_net).run(
+            RunRequest(
+                workload=workload, mode=mode, workers=2, options=options
+            )
+        )
+        assert report.exec_stats["workers"] == 2
+        assert report.exec_stats["backend"] == "process"
+        assert report.exec_stats["failures"] == 0
+        assert report.telemetry["configuration"]["workers"] == 2
 
 
 class TestSerialParallelDifferential:
@@ -175,7 +212,7 @@ class TestSerialParallelDifferential:
     def test_throughput_test_spawn(self, tiny_net, monkeypatch):
         """Spawned workers get each block's overlaid view by value —
         two microbatches, because every block re-ships it."""
-        monkeypatch.setenv(ENV_START_METHOD, "spawn")
+        monkeypatch.setattr("repro.exec.pool.start_method", lambda: "spawn")
         self._throughput_differential(tiny_net, workers=2, batches=2)
 
     def _throughput_differential(self, tiny_net, workers, batches=None):
@@ -233,6 +270,15 @@ class TestSerialParallelDifferential:
         assert serial.invalidated_reads == parallel.invalidated_reads
         assert parallel.exec_stats["failures"] == 0
         assert parallel.exec_stats["tasks"] > 0
+
+    def test_driver_reports_requested_workers(self, tiny_net):
+        """Each read run gets a pool sized to it, but ``exec`` reports
+        the worker count the run was given."""
+        report = SocialNetworkBenchmark(tiny_net).run_driver(
+            max_updates=120, workers=4
+        )
+        assert report.exec_stats["workers"] == 4
+        assert report.exec_stats["backend"] == "process"
 
 
 class TestRunAll:

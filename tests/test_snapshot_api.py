@@ -2,8 +2,8 @@
 
 Covers the four satellite contracts of the redesign:
 
-* :class:`SnapshotConfig` is the *only* place the snapshot environment
-  variables are parsed, and explicit knobs always win over them;
+* :class:`SnapshotConfig` carries its real defaults and validates its
+  knobs on construction;
 * :func:`provide_snapshot` degrades to inline — visibly, via the
   ``repro_snapshot_fallback_total`` counter — when handed a live graph;
 * mapped ship tokens are self-contained: the payload carries only
@@ -21,7 +21,6 @@ Covers the four satellite contracts of the redesign:
 
 from __future__ import annotations
 
-import os
 import pickle
 
 import pytest
@@ -31,8 +30,6 @@ from repro.exec import (
     Task,
 )
 from repro.exec.snapshot import (
-    ENV_MORSEL_SIZE,
-    ENV_PROVIDER,
     InlineSnapshot,
     MmapFileSnapshot,
     SnapshotConfig,
@@ -44,53 +41,39 @@ from repro.graph.store import SocialGraph
 from repro.obs.metrics import registry
 
 
-@pytest.fixture()
-def clean_env(monkeypatch):
-    for name in (ENV_PROVIDER, ENV_MORSEL_SIZE):
-        monkeypatch.delenv(name, raising=False)
-    return monkeypatch
-
-
 class TestSnapshotConfig:
-    def test_defaults(self, clean_env):
-        resolved = SnapshotConfig().resolved()
-        assert resolved.provider == "inline"
-        assert resolved.freeze is True
-        assert resolved.compact_fraction == 0.25
-        assert resolved.morsel_size is None
+    def test_defaults(self):
+        config = SnapshotConfig()
+        assert config.provider == "inline"
+        assert config.freeze is True
+        assert config.compact_fraction == 0.25
+        assert config.morsel_size is None
+        assert config.directory is None
 
-    def test_environment_fallbacks(self, clean_env):
-        clean_env.setenv(ENV_PROVIDER, "mmap_file")
-        clean_env.setenv(ENV_MORSEL_SIZE, "1024")
-        resolved = SnapshotConfig().resolved()
-        assert resolved.provider == "mmap_file"
-        assert resolved.morsel_size == 1024
+    def test_explicit_knobs_beat_environment(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SNAPSHOT_PROVIDER", "mmap_file")
+        monkeypatch.setenv("REPRO_MORSEL_SIZE", "1024")
+        config = SnapshotConfig(provider="inline", morsel_size=8)
+        assert config.provider == "inline"
+        assert config.morsel_size == 8
 
-    def test_explicit_knobs_beat_environment(self, clean_env):
-        clean_env.setenv(ENV_PROVIDER, "mmap_file")
-        clean_env.setenv(ENV_MORSEL_SIZE, "1024")
-        resolved = SnapshotConfig(provider="inline", morsel_size=8).resolved()
-        assert resolved.provider == "inline"
-        assert resolved.morsel_size == 8
-
-    def test_unknown_provider_rejected(self, clean_env):
+    def test_unknown_provider_rejected(self):
         with pytest.raises(ValueError, match="provider"):
-            SnapshotConfig(provider="nfs").resolved()
-        clean_env.setenv(ENV_PROVIDER, "bogus")
-        with pytest.raises(ValueError, match="provider"):
-            SnapshotConfig().resolved()
+            SnapshotConfig(provider="nfs")
 
-    def test_removed_shared_memory_provider_rejected(self, clean_env):
+    def test_removed_shared_memory_provider_rejected(self):
         with pytest.raises(ValueError, match="provider"):
-            SnapshotConfig(provider="shared_memory").resolved()
+            SnapshotConfig(provider="shared_memory")
 
-    def test_invalid_numbers_rejected(self, clean_env):
+    def test_invalid_numbers_rejected(self):
         with pytest.raises(ValueError):
-            SnapshotConfig(compact_fraction=-0.1).resolved()
+            SnapshotConfig(compact_fraction=-0.1)
         with pytest.raises(ValueError):
-            SnapshotConfig(morsel_size=0).resolved()
+            SnapshotConfig(compact_fraction=float("nan"))
+        with pytest.raises(ValueError):
+            SnapshotConfig(morsel_size=0)
 
-    def test_configuration_dict(self, clean_env):
+    def test_configuration_dict(self):
         document = SnapshotConfig(provider="mmap_file").configuration_dict()
         assert document == {
             "provider": "mmap_file",
@@ -99,25 +82,15 @@ class TestSnapshotConfig:
             "morsel_size": None,
         }
 
-    def test_compact_fraction_resolver_delegates_here(self, clean_env):
-        from repro.graph.delta import resolve_compact_fraction
-
-        assert resolve_compact_fraction(0.75) == 0.75
-        assert resolve_compact_fraction(None) == (
-            SnapshotConfig().resolved().compact_fraction
-        )
-        with pytest.raises(ValueError):
-            resolve_compact_fraction(float("nan"))
-
 
 class TestProvideSnapshot:
-    def test_inline_for_inline_provider(self, tiny_graph, clean_env):
+    def test_inline_for_inline_provider(self, tiny_graph):
         handle = provide_snapshot(tiny_graph)
         assert isinstance(handle, InlineSnapshot)
         assert handle.provider == "inline"
         assert handle.bytes_mapped() == 0
 
-    def test_live_graph_falls_back_visibly(self, tiny_graph, clean_env):
+    def test_live_graph_falls_back_visibly(self, tiny_graph):
         counter = registry().counter(
             "repro_snapshot_fallback_total", reason="live-graph"
         )
@@ -128,7 +101,7 @@ class TestProvideSnapshot:
         assert isinstance(handle, InlineSnapshot)
         assert counter.value == before + 1
 
-    def test_mapped_provider_for_frozen_graph(self, tiny_graph, clean_env):
+    def test_mapped_provider_for_frozen_graph(self, tiny_graph):
         frozen = freeze(tiny_graph)
         handle = provide_snapshot(
             frozen, config=SnapshotConfig(provider="mmap_file")
@@ -143,9 +116,7 @@ class TestProvideSnapshot:
 
 
 class TestSelfContainedShip:
-    def test_ship_payload_has_zero_object_state_bytes(
-        self, tiny_graph, clean_env
-    ):
+    def test_ship_payload_has_zero_object_state_bytes(self, tiny_graph):
         """The ship token is buffer coordinates + overlay + context
         only: no pickled store travels, and the stub stays thousands of
         times smaller than the entity state it replaces."""
@@ -298,16 +269,15 @@ class TestFullDifferential:
         reason="spawn start method unavailable",
     )
     def test_spawn_pool_differential_all_reads(self, tiny_graph,
-                                               tiny_config, clean_env):
+                                               tiny_config, monkeypatch):
         """Cold-started spawn workers (no fork inheritance, no
         object-state pickle) return the same rows as the parent's
         serial pass for every BI and IC read."""
-        from repro.exec.pool import ENV_START_METHOD
         from repro.params.curation import ParameterGenerator
         from repro.queries.bi import ALL_QUERIES
         from repro.queries.interactive.complex import ALL_COMPLEX
 
-        clean_env.setenv(ENV_START_METHOD, "spawn")
+        monkeypatch.setattr("repro.exec.pool.start_method", lambda: "spawn")
         frozen = freeze(tiny_graph)
         params = ParameterGenerator(tiny_graph, tiny_config)
         tasks = []
@@ -332,9 +302,25 @@ class TestFullDifferential:
 
 
 class TestPoolIntegration:
+    def test_power_test_over_mapped_provider(self, tiny_graph, tiny_config):
+        """The whole power test on two workers that attach the mapped
+        snapfile: same per-query operator counters as the serial pass."""
+        from repro.driver.bi_driver import power_test
+        from repro.params.curation import ParameterGenerator
+
+        params = ParameterGenerator(tiny_graph, tiny_config)
+        serial = power_test(tiny_graph, params, 0.1)
+        mapped = power_test(
+            tiny_graph, params, 0.1, workers=2,
+            snapshot=SnapshotConfig(provider="mmap_file"),
+        )
+        assert mapped.exec_stats["workers"] == 2
+        assert mapped.exec_stats["failures"] == 0
+        assert mapped.operator_stats == serial.operator_stats
+
     @pytest.mark.parametrize("provider", ["inline", "mmap_file"])
     def test_process_pool_over_each_provider(self, tiny_graph, tiny_config,
-                                             provider, clean_env):
+                                             provider):
         from repro.params.curation import ParameterGenerator
 
         frozen = freeze(tiny_graph)
@@ -360,14 +346,13 @@ class TestPoolIntegration:
         reason="spawn start method unavailable",
     )
     def test_spawn_pool_ships_snapshot_by_value(self, tiny_graph,
-                                                tiny_config, clean_env):
+                                                tiny_config, monkeypatch):
         """Without fork, workers must materialize the shipped payload:
         the mmap_file provider attaches by path instead of pickling
         columns."""
-        from repro.exec.pool import ENV_START_METHOD
         from repro.params.curation import ParameterGenerator
 
-        clean_env.setenv(ENV_START_METHOD, "spawn")
+        monkeypatch.setattr("repro.exec.pool.start_method", lambda: "spawn")
         frozen = freeze(tiny_graph)
         params = ParameterGenerator(tiny_graph, tiny_config)
         binding = tuple(params.bi(18, count=1)[0])
@@ -383,18 +368,9 @@ class TestPoolIntegration:
         finally:
             handle.close()
 
-    def test_invalid_start_method_rejected(self, tiny_graph, clean_env):
-        from repro.exec.pool import ENV_START_METHOD
-
-        clean_env.setenv(ENV_START_METHOD, "telepathy")
-        frozen = freeze(tiny_graph)
-        pool = WorkerPool(workers=2, snapshot=InlineSnapshot(frozen))
-        with pytest.raises(ValueError, match="telepathy"):
-            pool.run([Task(0, "bi", (1, (os.environ and None,)))])
-
 
 class TestObservability:
-    def test_bytes_mapped_gauge_published(self, tiny_graph, clean_env):
+    def test_bytes_mapped_gauge_published(self, tiny_graph):
         frozen = freeze(tiny_graph)
         handle = provide_snapshot(
             frozen, config=SnapshotConfig(provider="mmap_file")

@@ -59,9 +59,3 @@ class DatagenConfig:
     @property
     def end_millis(self) -> DateTime:
         return make_datetime(self.start_year + self.num_years, 1, 1)
-
-    @property
-    def update_cutoff_millis(self) -> DateTime:
-        """Events at or after this instant go to the update streams."""
-        span = self.end_millis - self.start_millis
-        return self.start_millis + int(span * self.bulk_load_fraction)

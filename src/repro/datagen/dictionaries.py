@@ -323,9 +323,6 @@ class Dictionaries:
     def num_countries(self) -> int:
         return len(self.country_names)
 
-    def country_of_city(self, city_idx: int) -> int:
-        return self.city_country[city_idx]
-
     def descendant_classes(self, class_idx: int) -> set[int]:
         """The tag class and all its transitive subclasses."""
         children: dict[int, list[int]] = {i: [] for i in range(len(self.tag_class_names))}

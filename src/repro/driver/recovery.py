@@ -7,10 +7,14 @@ in-memory, so durability is layered on top:
 
 * every write (IU 1-8 / DEL 1-8) is appended to a **write-ahead log**
   and flushed before it is applied — the commit point;
-* a **checkpoint** (a full snapshot plus the WAL position it covers) is
-  taken every ``checkpoint_every`` writes;
-* :func:`recover` rebuilds the store from the latest checkpoint and
-  replays the WAL tail.
+* a **checkpoint** (the frozen store as a v3 snapfile whose TOC
+  ``meta`` holds the WAL position it covers) is taken every
+  ``checkpoint_every`` writes, into a temp file renamed over the last;
+* :func:`recover` rebuilds the store from the latest checkpoint with
+  ``snapfile.rebuild_store`` and replays the WAL tail.
+
+:data:`CHECKPOINT` keeps the name the benchmark ledger reads, though
+the file is a snapfile, not a serialized object graph.
 
 :class:`DurableSut` exposes ``crash()`` for the §6.3 test: it drops the
 in-memory state, after which only recovery can resurrect the data.
@@ -19,19 +23,22 @@ in-memory state, after which only recovery can resurrect the data.
 from __future__ import annotations
 
 import base64
+import os
 import pickle
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
 from repro.datagen.delete_streams import DeleteOperation
 from repro.datagen.update_streams import UpdateOperation
+from repro.graph import snapfile
+from repro.graph.frozen import FrozenGraph
 from repro.graph.store import SocialGraph
 from repro.queries.interactive.deletes import ALL_DELETES
 from repro.queries.interactive.updates import ALL_UPDATES
-from repro.util.alloc import collector_paused
 
 WriteOperation = Union[UpdateOperation, DeleteOperation]
+
+CHECKPOINT = "checkpoint.pickle"
 
 
 def _apply(graph: SocialGraph, op: WriteOperation) -> None:
@@ -46,16 +53,18 @@ def _encode(op: WriteOperation) -> str:
     return base64.b64encode(pickle.dumps(op)).decode()
 
 
-def _decode(line: str) -> WriteOperation:
-    return pickle.loads(base64.b64decode(line))
-
-
-@dataclass
-class Checkpoint:
-    """A snapshot plus the number of WAL entries it covers."""
-
-    wal_position: int
-    path: Path
+def _decode(record: bytes, line: int) -> WriteOperation:
+    """One WAL record; unpickling damaged bytes can raise anything."""
+    try:
+        op = pickle.loads(base64.b64decode(record, validate=True))
+        if not isinstance(op, (UpdateOperation, DeleteOperation)):
+            raise TypeError(f"{type(op).__name__} is not a write")
+    except Exception as error:
+        raise snapfile.SnapshotFormatError(
+            f"corrupt WAL: line {line} does not decode "
+            f"({type(error).__name__}: {error})"
+        ) from error
+    return op
 
 
 class DurableSut:
@@ -72,8 +81,7 @@ class DurableSut:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.wal_path = self.directory / "wal.log"
-        self.checkpoint_path = self.directory / "checkpoint.pickle"
-        self.meta_path = self.directory / "checkpoint.meta"
+        self.checkpoint_path = self.directory / CHECKPOINT
         self.checkpoint_every = checkpoint_every
         self.graph: SocialGraph | None = graph
         # A fresh WAL: the initial checkpoint covers the loaded state.
@@ -96,14 +104,16 @@ class DurableSut:
         if self._writes % self.checkpoint_every == 0:
             self.checkpoint()
 
-    def checkpoint(self) -> Checkpoint:
-        """Snapshot the current state and record the WAL position."""
+    def checkpoint(self) -> None:
+        """Freeze the store and write it, with the WAL position it
+        covers, as the snapfile that replaces the previous checkpoint."""
         if self.graph is None:
             raise RuntimeError("SUT has crashed; recover first")
-        with open(self.checkpoint_path, "wb") as handle, collector_paused():
-            pickle.dump(self.graph, handle)
-        self.meta_path.write_text(str(self._writes))
-        return Checkpoint(self._writes, self.checkpoint_path)
+        partial = self.checkpoint_path.with_suffix(".partial")
+        with open(partial, "wb") as stream:
+            snapfile.write_snapshot(FrozenGraph(self.graph), stream,
+                                    meta={"wal_position": self._writes})
+        os.replace(partial, self.checkpoint_path)
 
     @property
     def committed_writes(self) -> int:
@@ -124,18 +134,25 @@ def recover(directory: Path | str) -> tuple[SocialGraph, int]:
 
     Returns the recovered graph and the number of committed writes it
     contains — every WAL entry, i.e. everything acknowledged before the
-    crash.
+    crash.  A final record without its newline was never committed (its
+    ``apply`` never returned) and is dropped; a damaged checkpoint or
+    WAL record is a :class:`~repro.graph.snapfile.SnapshotFormatError`.
     """
     directory = Path(directory)
-    checkpoint = directory / "checkpoint.pickle"
-    with open(checkpoint, "rb") as handle, collector_paused():
-        graph: SocialGraph = pickle.load(handle)
-    covered = int((directory / "checkpoint.meta").read_text())
+    attached = snapfile.open_snapshot(str(directory / CHECKPOINT)).attached
+    covered = attached.meta.get("wal_position")
+    if type(covered) is not int or covered < 0:
+        raise snapfile.SnapshotFormatError(
+            f"checkpoint TOC meta holds no WAL position ({covered!r})"
+        )
+    graph = snapfile.rebuild_store(attached.entities)
     replayed = 0
-    with open(directory / "wal.log") as handle:
-        for index, line in enumerate(handle):
-            if index < covered:
+    with open(directory / "wal.log", "rb") as handle:
+        for line, record in enumerate(handle, 1):
+            if line <= covered:
                 continue
-            _apply(graph, _decode(line.strip()))
+            if not record.endswith(b"\n"):
+                break  # torn tail
+            _apply(graph, _decode(record[:-1], line))
             replayed += 1
     return graph, covered + replayed

@@ -28,7 +28,8 @@ probe, which is written native on purpose)::
 
 The TOC records every section's ``(name, typecode, itemsize, offset,
 nbytes, count)`` plus the string-column dictionary and snapshot
-metadata (``frozen_at_version``).  Column bytes are written in the
+metadata (``frozen_at_version``, plus what the writer adds: a
+checkpoint's WAL position).  Column bytes are written in the
 machine's native byte order — a snapshot is an IPC artifact between
 processes of one host, not an interchange format — and the probe makes
 a cross-endian open fail loudly instead of returning garbage rows.
@@ -328,14 +329,16 @@ def _replay(graph: SocialGraph, payload: dict[str, Any]) -> None:
 
 
 def write_snapshot(
-    graph: FrozenGraph, stream: BinaryIO, *, overlay: Any = None
+    graph: FrozenGraph, stream: BinaryIO, *, overlay: Any = None,
+    meta: dict[str, Any] | None = None,
 ) -> int:
     """Serialize ``graph``'s column families plus the entity section
     into ``stream`` (format v3); returns the number of section bytes
     written (the size a reader will map, excluding header and TOC).
     ``overlay`` (the owning manager's delta overlay, when the base is
     serialized under a dirty manager) keeps post-freeze inserts out of
-    the entity section — see :func:`_entity_payload`."""
+    the entity section — see :func:`_entity_payload`.  ``meta`` entries
+    join ``frozen_at_version`` in the TOC's ``meta``."""
     if graph.delta_overlay is not None:
         raise ValueError(
             "cannot serialize an overlaid view; write its base_snapshot "
@@ -378,7 +381,8 @@ def write_snapshot(
                 attr: list(getattr(graph, attr).dictionary)
                 for attr in STRING_COLUMNS
             },
-            "meta": {"frozen_at_version": graph.frozen_at_version},
+            "meta": {"frozen_at_version": graph.frozen_at_version,
+                     **(meta or {})},
         },
         separators=(",", ":"),
     ).encode("utf-8")
@@ -404,12 +408,13 @@ class AttachedColumns:
     ``with_columns``;
     ``entities`` is the raw (unparsed) ``__entities__`` section for
     :func:`rebuild_store` — parsing is deferred because the in-process
-    parent attach never needs it."""
+    parent attach never needs it; ``meta`` is the TOC's ``meta``."""
 
     columns: dict[str, Any]
     bytes_mapped: int
     frozen_at_version: int
     entities: Any
+    meta: dict[str, Any]
 
 
 def _validate_header(view: memoryview) -> tuple[int, int]:
@@ -460,7 +465,7 @@ def _toc_entries(toc: Any) -> tuple[list[tuple[Any, ...]], int]:
             for s in toc["sections"]
         ]
         return entries, int(toc["meta"]["frozen_at_version"])
-    except (KeyError, TypeError, ValueError) as error:
+    except (KeyError, TypeError, ValueError, OverflowError) as error:
         raise SnapshotFormatError(
             f"corrupt snapshot: malformed TOC ({type(error).__name__}: "
             f"{error})"
@@ -484,7 +489,7 @@ def _section_views(
                 f"section {name!r}: itemsize {declared} does not match "
                 f"this host's '{typecode}' width {itemsize}"
             )
-        if offset < HEADER_SIZE or offset + nbytes > toc_offset:
+        if offset < HEADER_SIZE or nbytes < 0 or offset + nbytes > toc_offset:
             raise SnapshotFormatError(
                 f"corrupt snapshot: section {name!r} "
                 f"[{offset}, {offset + nbytes}) falls outside the data "
@@ -516,9 +521,9 @@ def attach(buffer: Any) -> AttachedColumns:
             f"corrupt snapshot: TOC is not valid JSON ({error})"
         ) from error
     entries, frozen_at_version = _toc_entries(toc)
-    sections = _section_views(view, entries, toc_offset)
     columns: dict[str, Any] = {}
     try:
+        sections = _section_views(view, entries, toc_offset)
         for attr in FLAT_COLUMNS:
             columns[attr] = sections[attr]
         dictionaries = toc["dictionaries"]
@@ -538,15 +543,17 @@ def attach(buffer: Any) -> AttachedColumns:
                 for index in range(len(keys))
             }
         entities = sections[ENTITY_SECTION]
-    except KeyError as error:
+    except (LookupError, TypeError) as error:
         raise SnapshotFormatError(
-            f"corrupt snapshot: missing section {error}"
+            f"corrupt snapshot: missing or inconsistent section "
+            f"({type(error).__name__}: {error})"
         ) from error
     return AttachedColumns(
         columns=columns,
         bytes_mapped=sum(entry[4] for entry in entries),
         frozen_at_version=frozen_at_version,
         entities=entities,
+        meta=toc["meta"],
     )
 
 

@@ -103,8 +103,8 @@ def _remove_row(items: list, item: object) -> None:
     Matches by identity: ``list.remove`` would run the dataclass
     ``__eq__`` on every earlier, non-identical row.  Identity is exact
     because every mutator appends the *same* object to every index it
-    maintains — loads, ``rebuild_store`` and ``recover``'s unpickle
-    (which memoizes shared references) included.
+    maintains — loads and ``rebuild_store`` (which ``recover`` also
+    goes through) included.
     """
     del items[list(map(id, items)).index(id(item))]
 

@@ -145,11 +145,6 @@ class Tracer:
     def current(self) -> Span | None:
         return self._stack[-1] if self._stack else None
 
-    def annotate(self, **attrs: Any) -> None:
-        """Merge attributes into the innermost open span, if any."""
-        if self._stack:
-            self._stack[-1].attrs.update(attrs)
-
     def finish_open(self) -> None:
         """Force-close every span still on the stack (exception unwind /
         end of a task capture); abandoned generator spans close too when
@@ -178,9 +173,6 @@ class NullTracer(Tracer):
     def span(self, name: str, kind: str = "operation",
              **attrs: Any) -> AbstractContextManager[Span | None]:
         return self._null
-
-    def annotate(self, **attrs: Any) -> None:
-        pass
 
     def graft(self, span: Span) -> None:
         pass

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.engine import expand
 from repro.graph.store import SocialGraph
-from repro.schema.entities import Comment, Message, Post
+from repro.schema.entities import Message
 from repro.util.dates import DateTime
 
 
@@ -119,9 +119,3 @@ def message_language(graph: SocialGraph, message: Message) -> str:
     Delegates to the store so a frozen snapshot can answer from its
     root-ordinal + language columns without materializing the root."""
     return graph.language_of_message(message)
-
-
-def direct_reply_pairs(comment: Comment, graph: SocialGraph) -> tuple[int, int, bool]:
-    """(reply author, parent author, parent is post) of a direct reply."""
-    parent = graph.parent_of(comment)
-    return comment.creator_id, parent.creator_id, isinstance(parent, Post)

@@ -3,7 +3,7 @@
 CPython's cyclic collector runs whenever allocations outnumber
 deallocations by a threshold, and each full pass re-traverses every
 surviving container.  A bulk phase whose allocations all survive (a
-load, a freeze, a rebuild, a checkpoint encode or decode) therefore
+load, a freeze, a rebuild, a snapfile entity encode) therefore
 pays for repeated traversals of a heap that only grows while finding
 nothing to free.  :func:`collector_paused` turns the collector off for
 such a phase; the survivors are traversed once, later, by the first
@@ -27,11 +27,9 @@ __all__ = ["PAUSED_PHASES", "collector_paused"]
 #: The phases run under :func:`collector_paused`, for the disclosure.
 PAUSED_PHASES: tuple[str, ...] = (
     "SocialGraph.from_data",
-    "snapfile.rebuild_store",
+    "snapfile.rebuild_store (worker attach, recover)",
     "FrozenGraph construction",
-    "snapfile entity encode",
-    "DurableSut checkpoint pickle",
-    "recover checkpoint unpickle",
+    "snapfile entity encode (ship, checkpoint)",
 )
 
 

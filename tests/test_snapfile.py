@@ -73,6 +73,23 @@ MALFORMED_TOCS = {
     "unknown-typecode": lambda toc: _edit_sections(
         toc, lambda s: {**s, "typecode": "Z"}
     ),
+    "float-offset": lambda toc: _edit_sections(
+        toc, lambda s: {**s, "offset": float(s["offset"])}
+    ),
+    "negative-length": lambda toc: _edit_sections(
+        toc, lambda s: {**s, "nbytes": -s["itemsize"]}
+    ),
+    "list-name": lambda toc: _edit_sections(
+        toc, lambda s: {**s, "name": [s["name"]]}
+    ),
+    "infinite-version": lambda toc: {
+        **toc, "meta": {"frozen_at_version": float("inf")}
+    },
+    "short-keyed-offsets": lambda toc: _edit_sections(
+        toc, lambda s: {**s, "nbytes": s["nbytes"] - 8}
+        if s["name"].endswith(".offsets") else s
+    ),
+    "dictionaries-is-a-list": lambda toc: {**toc, "dictionaries": []},
 }
 
 

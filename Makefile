@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction.
 
-.PHONY: install test lint bench bench-smoke bench-parallel bench-ledger bench-compare bench-tables examples all
+.PHONY: install test typecheck bench bench-smoke bench-parallel bench-ledger bench-compare bench-tables examples all
 
 install:
 	pip install -e .
@@ -8,12 +8,10 @@ install:
 test:
 	PYTHONPATH=src pytest tests/
 
-lint:  ## benchmark-invariant checker, waiver audit + (if installed) strict typing
-	PYTHONPATH=src python -m repro.lint src
-	PYTHONPATH=src python -m repro.lint src --audit-suppressions
+typecheck:  ## strict typing of engine and util (if mypy is installed)
 	@if command -v mypy >/dev/null 2>&1; then \
 		mypy --strict --follow-imports=silent \
-			src/repro/engine src/repro/util src/repro/lint; \
+			src/repro/engine src/repro/util; \
 	else \
 		echo "mypy not installed; skipping type check (CI runs it)"; \
 	fi
@@ -51,4 +49,4 @@ examples:
 	python examples/datagen_export.py
 	python examples/bi_power_throughput.py
 
-all: install lint test bench
+all: install typecheck test bench

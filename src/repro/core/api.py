@@ -194,7 +194,13 @@ class SocialNetworkBenchmark:
         ``workers > 1`` parallelises consecutive complex reads on the
         :mod:`repro.exec` pool (flat-out runs only); the results log
         merges deterministically — identical content to a serial run.
+
+        A negative ``max_updates``, or a time compression ratio that is
+        negative, infinite or NaN, is a ``ValueError`` before any work.
         """
+        if max_updates is not None and max_updates < 0:
+            raise ValueError(f"max_updates must be >= 0, got {max_updates}")
+        driver = Driver(self.graph, time_compression_ratio, seed=seed)
         updates = build_update_streams(self.network)
         if max_updates is not None:
             updates = updates[:max_updates]
@@ -210,7 +216,6 @@ class SocialNetworkBenchmark:
             for number in sorted(ALL_COMPLEX)
         }
         schedule = Scheduler(updates, frequencies, parameters, deletes).build()
-        driver = Driver(self.graph, time_compression_ratio, seed=seed)
         return driver.run(schedule, workers=workers, timeout=timeout)
 
     def run(self, request: RunRequest) -> RunReport:

@@ -13,9 +13,10 @@ The :class:`Driver` executes a schedule against a :class:`SocialGraph`:
 
 Simulation time maps to wall-clock time through the Time Compression
 Ratio: ``wall_gap = sim_gap * tcr``.  A TCR of 0 replays as fast as
-possible.  Every operation is logged with its scheduled and actual start
-time; the §6.2 validity rule (95 % of queries start within 1 second of
-schedule) is evaluated over the log.
+possible; a negative, infinite or NaN TCR is a ``ValueError``.  Every
+operation is logged with its scheduled and actual start time; the §6.2
+validity rule (95 % of queries start within 1 second of schedule) is
+evaluated over the log.
 
 Flat-out replays (TCR 0) with ``workers > 1`` run each maximal run of
 consecutive complex reads on a :mod:`repro.exec` process pool forked
@@ -26,6 +27,7 @@ pool ships the graph by value, so on spawn-only platforms keep
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -200,6 +202,11 @@ class Driver:
         time_compression_ratio: float = 0.0,
         seed: int = 1234,
     ):
+        if not 0 <= time_compression_ratio < math.inf:
+            raise ValueError(
+                "time_compression_ratio must be finite and >= 0, got "
+                f"{time_compression_ratio!r}"
+            )
         self.graph = graph
         self.tcr = time_compression_ratio
         self.rng = DeterministicRng(seed, "driver")

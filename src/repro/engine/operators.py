@@ -591,14 +591,15 @@ def scan_persons(
 
     The instrumented counterpart of ``graph.persons.values()`` — query
     modules must come through here so the scan shows up in the
-    per-query operator counters (and so R2 of ``repro.lint`` can hold
-    the engine boundary).  The country pushdown (isLocatedIn City
-    isPartOf Country, served by the place adjacency indexes — BI 21's
-    zombie hunt) yields residents in sorted-id order, the canonical
-    order :func:`scan_person_morsel` slices; the unrestricted scan
-    walks the person-ordinal column on a clean frozen snapshot for the
-    same reason.  Iteration order never changes rows — every BI/IC
-    sort is a total order (lint R4).
+    per-query operator counters (``tests/test_boundaries.py`` holds
+    that boundary on every read).  The country pushdown (isLocatedIn
+    City isPartOf Country, served by the place adjacency indexes — BI
+    21's zombie hunt) yields residents in sorted-id order, the
+    canonical order :func:`scan_person_morsel` slices; the unrestricted
+    scan walks the person-ordinal column on a clean frozen snapshot for
+    the same reason.  Iteration order never changes rows — every BI/IC
+    sort is a total order (``tests/test_boundaries.py`` reverses ties
+    to check).
     """
     return _plan_persons(graph, country, None, True).execute()
 

@@ -47,11 +47,12 @@ this reproduction:
   worker runs its own sampler and ships per-task profile/timeline
   deltas, grafted in the same submission order.
 
-Deadline bookkeeping uses ``time.monotonic()``; those reads carry
-reasoned ``allow-wall-clock`` waivers because rule R1 of ``repro.lint``
-otherwise forbids clock reads outside latency measurement — benchmark
-*semantics* must never depend on them, and these do not: they only
-decide when a stuck worker is killed.
+Deadline bookkeeping uses ``time.monotonic()`` in two places,
+``_ProcWorker.assign`` and ``WorkerPool._supervise``: they are the only
+clock reads outside latency measurement and ``repro.obs`` that
+``tests/test_boundaries.py`` allows — benchmark *semantics* must never
+depend on them, and these do not: they only decide when a stuck worker
+is killed.
 """
 
 from __future__ import annotations
@@ -312,7 +313,8 @@ class _ProcWorker:
     def assign(self, task: Task, attempt: int) -> None:
         self.conn.send((task, attempt))
         self.busy = (task, attempt)
-        self.assigned_at = time.monotonic()  # lint: allow-wall-clock deadline bookkeeping only; never enters results
+        # Deadline bookkeeping only; never enters results.
+        self.assigned_at = time.monotonic()
 
     def kill(self) -> None:
         self.process.terminate()
@@ -612,7 +614,8 @@ class WorkerPool:
                 else:
                     outcomes.append(outcome)
 
-            now = time.monotonic()  # lint: allow-wall-clock deadline bookkeeping only; never enters results
+            # Deadline bookkeeping only; never enters results.
+            now = time.monotonic()
             if self.timeout is not None:
                 for worker in list(workers.values()):
                     if (

@@ -45,8 +45,8 @@ overlay outgrows its ``compact_fraction=`` argument (default 0.25)
 times the base row count; ``0.0`` degenerates to the old
 refreeze-per-batch behaviour.
 
-Query code must not import this module (lint R2, slug
-``frozen-import``) for the same reason it must not import
+Query code must not import this module (``tests/test_boundaries.py``
+scans for it) for the same reason it must not import
 ``repro.graph.frozen``: the overlay is an engine-level storage detail,
 and queries stay representation-agnostic.
 """

@@ -49,8 +49,8 @@ indexes while everything else stays columnar.  Code holding a bare
 snapshot past a write without the manager is outside the contract
 (exactly like holding an iterator over a dict across a mutation).
 
-Query code must not import this module (lint R2, slug ``frozen-import``)
-— queries receive whichever graph the driver passes and stay
+Query code must not import this module
+(``tests/test_boundaries.py`` scans for it) — queries receive whichever graph the driver passes and stay
 representation-agnostic; the engine picks the columnar fast paths off
 ``graph.is_frozen``.
 """

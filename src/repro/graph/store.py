@@ -177,15 +177,14 @@ class SocialGraph:
     methods; everything ``_``-prefixed is a secondary index whose layout
     may change between PRs.  Query modules additionally may not *iterate*
     the raw tables in :attr:`RAW_TABLES` — they scan through
-    :mod:`repro.engine` so the work is instrumented (enforced statically
-    by rule R2 of ``repro.lint``; point lookups like
+    :mod:`repro.engine` so the work is instrumented (checked on every
+    read by ``tests/test_boundaries.py``; point lookups like
     ``graph.persons[pid]`` remain fine).
     """
 
     #: Raw entity/relation tables (plus the ``messages()`` full-scan
     #: accessor) that are public for point access but off-limits to
-    #: iterate from query code.  Mirrored by
-    #: ``repro.lint.rules_engine.RAW_STORE_COLLECTIONS``.
+    #: iterate from query code.
     RAW_TABLES: frozenset[str] = frozenset(
         {
             "places", "organisations", "tag_classes", "tags",

@@ -26,7 +26,7 @@ structure-identical to a serial run's (sample *counts* differ; series
 names and shape do not, which is what ``structure_of`` compares).
 
 This module is the one sanctioned ``sys._current_frames`` caller in the
-tree — lint rule R5 (``obs-raw-frames``) holds that boundary.
+tree — a source scan in ``tests/test_boundaries.py`` holds that boundary.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ laying parallel tasks out sequentially so a parallel run's trace has
 exactly the serial run's shape.
 """
 
-# lint: file-allow-wall-clock span timestamps are observability-only: they
+# Span timestamps read the wall clock and are observability-only: they
 # are emitted into traces/telemetry and never feed back into query results,
 # scheduling decisions or any other benchmark semantics.
 
@@ -50,7 +50,7 @@ def now_us() -> int:
 
     Internal to ``repro.obs``: every other layer gets time *into* the
     telemetry through spans and histograms, never by calling the clock
-    (rule R5 of ``repro.lint`` holds that boundary).
+    (a source scan in ``tests/test_boundaries.py`` holds that boundary).
     """
     return time.monotonic_ns() // 1_000
 

@@ -174,9 +174,10 @@ def _bi1_merge(
         for (year, is_comment, category), (count, total_length)
         in combined.items()
     ]
-    # lint: allow-partial-order (year, is_comment, length_category) is the group-by key
-    rows.sort(key=lambda r: (-r.year, r.is_comment, r.length_category))
-    return rows
+    # (year, is_comment, length_category) is the group-by key: total.
+    return sorted(
+        rows, key=lambda r: (-r.year, r.is_comment, r.length_category)
+    )
 
 
 # --- BI 3: tag evolution ----------------------------------------------
@@ -541,9 +542,8 @@ def _bi18_merge(
         Bi18Row(message_count, person_count)
         for message_count, person_count in histogram.items()
     ]
-    # lint: allow-partial-order message_count is the histogram key, unique per row
-    rows.sort(key=lambda r: (-r.person_count, -r.message_count))
-    return rows
+    # message_count is the histogram key, unique per row: total.
+    return sorted(rows, key=lambda r: (-r.person_count, -r.message_count))
 
 
 #: BI query number -> its morsel decomposition.  Queries not listed

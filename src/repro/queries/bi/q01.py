@@ -74,6 +74,7 @@ def bi1(graph: SocialGraph, date: Date) -> list[Bi1Row]:
         )
         for (year, is_comment, category), (count, total_length) in groups.items()
     ]
-    # lint: allow-partial-order (year, is_comment, length_category) is the group-by key
-    rows.sort(key=lambda r: (-r.year, r.is_comment, r.length_category))
-    return rows
+    # (year, is_comment, length_category) is the group-by key: total.
+    return sorted(
+        rows, key=lambda r: (-r.year, r.is_comment, r.length_category)
+    )

@@ -51,7 +51,7 @@ def bi5(graph: SocialGraph, country: str) -> list[Bi5Row]:
             if membership.person_id in country_persons:
                 forum_popularity[forum.id] += 1
     popular = top_k(
-        # lint: allow-partial-order item[0] is the forum id, unique per group
+        # item[0] is the forum id, unique per group: total.
         POPULAR_FORUM_COUNT, key=lambda item: sort_key((item[1], True), (item[0], False))
     )
     popular.extend(forum_popularity.items())

@@ -51,12 +51,12 @@ def bi13(graph: SocialGraph, country: str) -> list[Bi13Row]:
             month_tag_counts[key][graph.tags[tag_id].name] += 1
 
     top = top_k(
-        # lint: allow-partial-order (year, month) is the group-by key, one row each
+        # (year, month) is the group-by key, one row each: total.
         INFO.limit, key=lambda r: sort_key((r.year, True), (r.month, False))
     )
     for key in months_seen:
         ranked = sorted(
-            # lint: allow-partial-order kv[0] is the tag name, unique within a month
+            # kv[0] is the tag name, unique within a month: total.
             month_tag_counts[key].items(), key=lambda kv: (-kv[1], kv[0])
         )[:TOP_TAGS_PER_MONTH]
         top.add(Bi13Row(key[0], key[1], tuple(ranked)))

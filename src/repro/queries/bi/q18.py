@@ -64,6 +64,5 @@ def bi18(
         Bi18Row(message_count, person_count)
         for message_count, person_count in histogram.items()
     ]
-    # lint: allow-partial-order message_count is the histogram key, unique per row
-    rows.sort(key=lambda r: (-r.person_count, -r.message_count))
-    return rows
+    # message_count is the histogram key, unique per row: total.
+    return sorted(rows, key=lambda r: (-r.person_count, -r.message_count))

@@ -53,7 +53,7 @@ def bi23(graph: SocialGraph, country: str) -> list[Bi23Row]:
 
     top = top_k(
         INFO.limit,
-        # lint: allow-partial-order (destination_name, month) is the group-by key
+        # (destination_name, month) is the group-by key: total.
         key=lambda r: sort_key(
             (r.message_count, True), (r.destination_name, False), (r.month, False)
         ),

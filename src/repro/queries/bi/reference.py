@@ -12,10 +12,10 @@ implementations except the store's entity dictionaries.
 implementations row-for-row on generated graphs.
 """
 
-# lint: file-allow-raw-store the reference implementations are deliberately
-#   engine-free so they share no code path with what they cross-validate
-# lint: file-allow-partial-order sort keys mirror the main implementations,
-#   ending in the group-by key (unique per row) where no id exists
+# The reference implementations iterate the raw tables on purpose: they
+# are engine-free so they share no code path with what they
+# cross-validate.  Their sort keys mirror the main implementations,
+# ending in the group-by key (unique per row) where no id exists.
 
 from __future__ import annotations
 

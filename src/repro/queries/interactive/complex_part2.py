@@ -349,5 +349,4 @@ def ic14(graph: SocialGraph, person1_id: int, person2_id: int) -> list[Ic14Row]:
         )
         for path in paths
     ]
-    rows.sort(key=lambda r: (-r.path_weight, r.person_ids_in_path))
-    return rows
+    return sorted(rows, key=lambda r: (-r.path_weight, r.person_ids_in_path))

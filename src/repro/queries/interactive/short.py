@@ -94,8 +94,9 @@ def is3(graph: SocialGraph, person_id: int) -> list[Is3Row]:
         rows.append(
             Is3Row(friend_id, friend.first_name, friend.last_name, since)
         )
-    rows.sort(key=lambda r: (-r.friendship_creation_date, r.person_id))
-    return rows
+    return sorted(
+        rows, key=lambda r: (-r.friendship_creation_date, r.person_id)
+    )
 
 
 class Is4Row(NamedTuple):
@@ -178,8 +179,9 @@ def is7(graph: SocialGraph, message_id: int) -> list[Is7Row]:
                 knows,
             )
         )
-    rows.sort(key=lambda r: (-r.comment_creation_date, r.reply_author_id))
-    return rows
+    return sorted(
+        rows, key=lambda r: (-r.comment_creation_date, r.reply_author_id)
+    )
 
 
 #: query number -> (callable, IcQueryInfo)

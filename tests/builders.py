@@ -10,10 +10,21 @@ abbreviates day-resolution instants inside 2012.
 
 ``run_every_read`` runs every registered BI, IC and IS read on a graph
 of any layout, for the tests that compare or record what reads do.
+``attribute_reads`` routes every attribute read on a graph class through
+a callback, for the tests that record which names reads touch, and
+``ties_reversed`` makes the query modules break sort-key ties the other
+way, for the tests that check every result order is total.
 """
 
 from __future__ import annotations
 
+import builtins
+import importlib
+import pkgutil
+import sys
+from contextlib import contextmanager
+
+import repro.queries
 from repro.engine import expand
 from repro.graph.store import SocialGraph
 from repro.queries.bi import ALL_QUERIES
@@ -87,6 +98,81 @@ def run_every_read(graph, params, source) -> dict[tuple[str, int], list]:
         ]
     list(expand(persons, graph.friends_of))
     return outcomes
+
+
+@contextmanager
+def attribute_reads(cls, on_read):
+    """While open, every attribute read on an instance of ``cls`` (or of
+    a subclass that does not override ``__getattribute__``) returns
+    ``on_read(caller, name, value)``, where ``caller`` is the
+    ``__name__`` of the module whose code made the read."""
+    saved = cls.__dict__.get("__getattribute__")
+
+    def reading(self, name):
+        value = object.__getattribute__(self, name)
+        return on_read(sys._getframe(1).f_globals["__name__"], name, value)
+
+    cls.__getattribute__ = reading
+    try:
+        yield
+    finally:
+        if saved is None:
+            del cls.__getattribute__
+        else:
+            cls.__getattribute__ = saved
+
+
+class _TiesReversedTopK:
+    """A ``top_k`` that keeps every row and puts rows with equal keys
+    in reverse arrival order."""
+
+    def __init__(self, limit, key):
+        self.k, self._key, self._rows = limit, key, []
+
+    def add(self, row):
+        self._rows.append(row)
+
+    def extend(self, rows):
+        self._rows.extend(rows)
+
+    def would_enter(self, key):
+        return True
+
+    def result(self):
+        return builtins.sorted(self._rows[::-1], key=self._key)[: self.k]
+
+    def __iter__(self):
+        return iter(self.result())
+
+
+def _sorted_ties_reversed(rows, /, *, key=None, reverse=False):
+    return builtins.sorted(list(rows)[::-1], key=key, reverse=reverse)
+
+
+@contextmanager
+def ties_reversed():
+    """While open, ``top_k`` and ``sorted`` in every query module but
+    the reference oracle put rows with equal keys in reverse arrival
+    order.  A read whose sort keys are total returns the same rows."""
+    patched = []
+    for info in pkgutil.walk_packages(repro.queries.__path__, "repro.queries."):
+        if info.name == "repro.queries.bi.reference":
+            continue
+        module = importlib.import_module(info.name)
+        fakes = {"sorted": _sorted_ties_reversed}
+        if hasattr(module, "top_k"):
+            fakes["top_k"] = _TiesReversedTopK
+        for name, fake in fakes.items():
+            patched.append((module, name, module.__dict__.get(name)))
+            setattr(module, name, fake)
+    try:
+        yield
+    finally:
+        for module, name, saved in patched:
+            if saved is None:
+                delattr(module, name)
+            else:
+                setattr(module, name, saved)
 
 
 def build_micro_world() -> SocialGraph:

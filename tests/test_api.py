@@ -66,6 +66,21 @@ class TestDriver:
         assert report.total_operations >= 150
         assert report.throughput > 0
 
+    @pytest.mark.parametrize(
+        "options",
+        [{"time_compression_ratio": -1.0},
+         {"time_compression_ratio": float("nan")},
+         {"time_compression_ratio": float("inf")},
+         {"max_updates": -5}],
+        ids=["tcr-negative", "tcr-nan", "tcr-inf", "updates-negative"],
+    )
+    def test_run_driver_rejects_nonsense_pacing(self, bench, options):
+        """Each of these ran and exited 0: a negative TCR reported a
+        few on-time operations, NaN none, and ``max_updates=-5`` ran
+        every update but the last five."""
+        with pytest.raises(ValueError):
+            SocialNetworkBenchmark(bench.network).run_driver(**options)
+
 
 class TestExport:
     def test_export_csv_and_streams(self, bench, tmp_path):

@@ -16,6 +16,7 @@ from tests.builders import (
     TAG_SUMO,
     TOKYO,
     birthday,
+    ties_reversed,
     ts,
 )
 
@@ -188,6 +189,17 @@ class TestBi21Zombies:
         assert by_id[zombie].total_like_count == 2
         assert by_id[zombie].zombie_score == pytest.approx(0.5)
         assert by_id[other_zombie].zombie_score == 0.0
+
+    def test_tied_zombies_order_by_id(self):
+        """Three zombies tie on score 0.0: the id tie-breaker orders
+        them, whichever way the sort breaks ties."""
+        b = GraphBuilder()
+        zombies = [b.person(city=PARIS, created=ts(1, 2, 2010))
+                   for _ in range(3)]
+        with ties_reversed():
+            rows = bi21(b.graph, "France", make_date(2012, 7, 1))
+        assert [r.zombie_id for r in rows] == zombies
+        assert {r.zombie_score for r in rows} == {0.0}
 
     def test_person_created_after_end_date_excluded(self):
         b = GraphBuilder()

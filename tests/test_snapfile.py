@@ -35,7 +35,7 @@ from repro.graph.snapfile import (
 from repro.graph.store import SocialGraph
 from repro.params.curation import ParameterGenerator
 
-from tests.builders import run_every_read
+from tests.builders import attribute_reads, run_every_read
 from tests.test_delta_overlay import _apply_batch
 
 
@@ -275,6 +275,16 @@ class TestLiveViewsRejected:
             manager.detach()
 
 
+def _recording(names):
+    """An ``attribute_reads`` callback adding each read name to ``names``."""
+
+    def on_read(caller, name, value):
+        names.add(name)
+        return value
+
+    return on_read
+
+
 class TestEverySerializedColumnIsRead:
     """The file carries exactly the columns a read uses: a column no
     accessor or operator reads is build and serialization cost for
@@ -282,19 +292,13 @@ class TestEverySerializedColumnIsRead:
 
     def test_every_serialized_column_is_read(self, tiny_graph, tiny_config):
         reads: set[str] = set()
-
-        class RecordingGraph(FrozenGraph):
-            def __getattribute__(self, name):
-                reads.add(name)
-                return super().__getattribute__(name)
-
         params = ParameterGenerator(tiny_graph, tiny_config)
         snapshot = freeze(tiny_graph)
-        # Swapped in after the freeze, so the freeze's own reads
+        # Recorded after the freeze, so the freeze's own reads
         # (``_derive_lookups``) do not count — only queries' and
         # operators' do.
-        snapshot.__class__ = RecordingGraph
-        run_every_read(snapshot, params, tiny_graph)
+        with attribute_reads(FrozenGraph, _recording(reads)):
+            run_every_read(snapshot, params, tiny_graph)
         unread = [
             name
             for name in FLAT_COLUMNS + STRING_COLUMNS + KEYED_COLUMNS
@@ -321,18 +325,11 @@ class TestEveryLiveContainerIsRead:
         "_moderated_forums": "the DEL 1 cascade deletes a person's forums",
     }
 
-    def test_every_live_container_is_read(
-        self, tiny_net, tiny_config, monkeypatch
-    ):
+    def test_every_live_container_is_read(self, tiny_net, tiny_config):
         reads: set[str] = set()
 
-        def recording(graph, name):
-            reads.add(name)
-            return object.__getattribute__(graph, name)
-
         def recorded(phase, *args):
-            with monkeypatch.context() as patch:
-                patch.setattr(SocialGraph, "__getattribute__", recording)
+            with attribute_reads(SocialGraph, _recording(reads)):
                 return phase(*args)
 
         live = SocialGraph.from_data(tiny_net, until=tiny_net.cutoff)

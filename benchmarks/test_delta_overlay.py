@@ -8,8 +8,7 @@ must beat rebuilding the frozen columns after every batch by at least
 :class:`~repro.graph.frozen.FreezeManager` pinned to
 ``compact_fraction=0.0``, which degenerates to the pre-delta
 refreeze-on-any-write behaviour, so the two runs differ *only* in the
-snapshot lifecycle.  Recorded as ``BENCH_delta_overlay.json`` for
-``make bench-compare``.
+snapshot lifecycle.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from __future__ import annotations
 import math
 import time
 
-from benchmarks._record import record
 from repro.driver.bi_driver import build_microbatches
 from repro.exec.snapshot import SnapshotConfig
 from repro.graph.frozen import FreezeManager
@@ -88,18 +86,6 @@ def test_delta_overlay_speedup(base_net):
         f"\noverlay {overlay_elapsed:.2f} s ({overlay_mgr.freezes} freezes),"
         f" refreeze-per-batch {baseline_elapsed:.2f} s"
         f" ({baseline_mgr.freezes} freezes) -> {speedup:.2f}x"
-    )
-    record(
-        "delta_overlay",
-        workload="bi",
-        mode="throughput-updates",
-        reads=len(overlay_rows),
-        overlay_elapsed_s=round(overlay_elapsed, 3),
-        overlay_freezes=overlay_mgr.freezes,
-        overlay_compactions=overlay_mgr.compactions,
-        baseline_elapsed_s=round(baseline_elapsed, 3),
-        baseline_freezes=baseline_mgr.freezes,
-        speedup=round(speedup, 2),
     )
     assert speedup >= 2.0
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 
-from benchmarks._record import record
 from repro.core.api import SocialNetworkBenchmark
 from repro.datagen.update_streams import build_update_streams
 from repro.driver.bi_driver import concurrent_read_test, power_test
@@ -87,17 +86,6 @@ def test_parallel_driver_matches_serial(base_net):
         f"\nserial {serial_report.throughput:.0f} ops/s,"
         f" parallel {parallel_report.throughput:.0f} ops/s"
     )
-    record(
-        "driver_parallel",
-        workload="interactive",
-        operations=parallel_report.total_operations,
-        workers=4,
-        serial_ops_per_s=round(serial_report.throughput, 1),
-        parallel_ops_per_s=round(parallel_report.throughput, 1),
-        speedup=round(
-            parallel_report.throughput / serial_report.throughput, 2
-        ),
-    )
 
 
 def test_parallel_read_throughput_scales(base_graph, base_params):
@@ -117,16 +105,6 @@ def test_parallel_read_throughput_scales(base_graph, base_params):
         f" {parallel.throughput:.0f} q/s ({speedup:.2f}x,"
         f" {os.cpu_count()} cpus)"
     )
-    record(
-        "concurrent_reads",
-        workload="bi",
-        mode="concurrent",
-        queries=parallel.total_queries,
-        workers=4,
-        serial_queries_per_s=round(serial.throughput, 1),
-        parallel_queries_per_s=round(parallel.throughput, 1),
-        speedup=round(speedup, 2),
-    )
     if (os.cpu_count() or 1) >= 4:
         assert speedup >= 2.0
 
@@ -136,14 +114,3 @@ def test_parallel_power_test_is_deterministic(base_graph, base_params):
     parallel = power_test(base_graph, base_params, 1.0, workers=4)
     assert parallel.operator_stats == serial.operator_stats
     assert parallel.exec_stats["failures"] == 0
-    record(
-        "power_parallel",
-        workload="bi",
-        mode="power",
-        queries=len(parallel.runtimes),
-        workers=4,
-        serial_power_score=round(serial.power_score, 1),
-        parallel_power_score=round(parallel.power_score, 1),
-        serial_total_seconds=round(sum(serial.runtimes.values()), 4),
-        parallel_total_seconds=round(sum(parallel.runtimes.values()), 4),
-    )

@@ -1,6 +1,6 @@
 """Experiment FROZ — the columnar frozen snapshot vs the live store.
 
-Two claims, both recorded as ``BENCH_*.json``:
+Two claims:
 
 * the reply-expand-heavy BI 18 (every Comment resolved to its root Post
   through the reply chain, then language-filtered and aggregated) runs
@@ -8,21 +8,18 @@ Two claims, both recorded as ``BENCH_*.json``:
   dictionary-encoded language columns replace per-row chain walks;
 * a full power-test pass over BI 1-25 does the same per-operator work
   frozen as live (the differential suite proves the rows identical
-  exhaustively); both elapsed times are recorded — at the bench smoke
-  scale the one-off freeze cost is comparable to the whole pass, so
-  aggregate time is recorded, not asserted.
+  exhaustively); both elapsed times are printed — at this scale the
+  one-off freeze cost is comparable to the whole pass, so aggregate
+  time is not asserted.
 """
 
 from __future__ import annotations
 
 import time
 
-from benchmarks._record import record
-from repro.analysis.profile import bench_profile_section
 from repro.driver.bi_driver import power_test
 from repro.exec.snapshot import SnapshotConfig
 from repro.graph.frozen import freeze
-from repro.obs import summarize_seconds
 from repro.queries.bi import ALL_QUERIES
 
 
@@ -55,22 +52,12 @@ def test_frozen_expand_heavy_speedup(base_graph, base_params):
         f"\nBI 18 live {1000 * live_median:.2f} ms,"
         f" frozen {1000 * frozen_median:.2f} ms ({speedup:.2f}x)"
     )
-    record(
-        "frozen_expand",
-        workload="bi",
-        query=18,
-        bindings=len(bindings),
-        live_median_ms=round(1000 * live_median, 3),
-        frozen_median_ms=round(1000 * frozen_median, 3),
-        speedup=round(speedup, 2),
-    )
     assert speedup >= 2.0
 
 
 def test_frozen_power_test_smoke(base_graph, base_params):
     """A full BI 1-25 pass, frozen vs live: same per-query operator
-    work (minus the two arrival-order-sensitive heap-churn counters);
-    elapsed times recorded for trend tracking via bench-compare."""
+    work (minus the two arrival-order-sensitive heap-churn counters)."""
 
     def run(freeze: bool):
         start = time.perf_counter()
@@ -101,24 +88,4 @@ def test_frozen_power_test_smoke(base_graph, base_params):
         f" (geomean {1000 * live_report.geometric_mean:.2f} ms),"
         f" frozen {frozen_elapsed:.2f} s"
         f" (geomean {1000 * frozen_report.geometric_mean:.2f} ms)"
-    )
-    # Tail latencies across the per-query runtimes: p95/p99 regress
-    # independently of the geomean (one slow query hides in a mean),
-    # and bench-compare gates every *_p95_ms/*_p99_ms field.
-    live_tail = summarize_seconds(live_report.runtimes.values())
-    frozen_tail = summarize_seconds(frozen_report.runtimes.values())
-    record(
-        "frozen_power_smoke",
-        workload="bi",
-        mode="power",
-        queries=len(frozen_report.runtimes),
-        live_geomean_ms=round(1000 * live_report.geometric_mean, 3),
-        frozen_geomean_ms=round(1000 * frozen_report.geometric_mean, 3),
-        live_p95_ms=round(live_tail["p95_ms"], 3),
-        live_p99_ms=round(live_tail["p99_ms"], 3),
-        frozen_p95_ms=round(frozen_tail["p95_ms"], 3),
-        frozen_p99_ms=round(frozen_tail["p99_ms"], 3),
-        live_elapsed_s=round(live_elapsed, 3),
-        frozen_elapsed_s=round(frozen_elapsed, 3),
-        profile=bench_profile_section(frozen_report.operator_stats),
     )

@@ -15,7 +15,6 @@ import os
 import statistics
 import time
 
-from benchmarks._record import record
 from repro.driver.bi_driver import run_morselized
 from repro.exec import SnapshotConfig, WorkerPool, provide_snapshot
 from repro.graph.frozen import freeze
@@ -47,8 +46,6 @@ def test_morsel_scan_matches_serial_and_speeds_up(base_net):
     handle = provide_snapshot(
         frozen, config=SnapshotConfig(provider="mmap_file")
     )
-    fields = {"workers": workers, "morsel_size": _MORSEL_SIZE,
-              "provider": "mmap_file"}
     try:
         pool = WorkerPool(workers=workers, snapshot=handle)
         for number in sorted(MORSEL_PLANS):
@@ -68,9 +65,6 @@ def test_morsel_scan_matches_serial_and_speeds_up(base_net):
                 )
             )
             speedup = serial_s / morsel_s if morsel_s else float("inf")
-            fields[f"bi{number}_serial_ms"] = round(1000 * serial_s, 3)
-            fields[f"bi{number}_morsel_ms"] = round(1000 * morsel_s, 3)
-            fields[f"bi{number}_speedup"] = round(speedup, 2)
             print(
                 f"\nBI {number}: serial {1000 * serial_s:.2f} ms,"
                 f" morselized {1000 * morsel_s:.2f} ms"
@@ -81,30 +75,8 @@ def test_morsel_scan_matches_serial_and_speeds_up(base_net):
             # hosts; the speedup claim binds only with real cores.
             if (os.cpu_count() or 1) >= 4:
                 assert speedup > 1.0, f"bi{number}"
-        fields.update(_ship_fields(handle))
     finally:
         handle.close()
-    record("morsel_scan", **fields)
-
-
-def _ship_fields(handle):
-    """What crosses the process boundary per worker — a token of file
-    path plus overlay; workers rebuild entity state from the mapped
-    entity section — and what a cold attach from it costs."""
-    import pickle
-
-    wire = pickle.dumps(handle.ship())
-    entity_s = _median_seconds(
-        lambda: pickle.loads(wire).materialize().close()
-    )
-    print(
-        f"\nship payload: {len(wire)} B token;"
-        f" cold attach: {1000 * entity_s:.2f} ms"
-    )
-    return {
-        "ship_payload_bytes": len(wire),
-        "cold_attach_entity_ms": round(1000 * entity_s, 3),
-    }
 
 
 def test_mapped_power_test_matches_inline(base_net):
@@ -121,8 +93,3 @@ def test_mapped_power_test_matches_inline(base_net):
         snapshot=SnapshotConfig(provider="mmap_file", morsel_size=_MORSEL_SIZE),
     )
     assert mapped.operator_stats == serial.operator_stats
-    record(
-        "morsel_power",
-        serial_geomean_ms=round(1000 * serial.geometric_mean, 3),
-        mapped_geomean_ms=round(1000 * mapped.geometric_mean, 3),
-    )

@@ -6,18 +6,13 @@ The profiler's design budget is < 5% wall-clock overhead at the default
 the benchmarked code runs unmodified and the only costs are the
 sampler's own CPU slices and the GIL it briefly holds per tick.  This
 experiment measures it directly: alternating unprofiled / profiled
-power-test passes, median of each, overhead asserted under the budget
-and recorded as ``BENCH_profiler_overhead.json`` (with the profiled
-pass's own attribution ``profile`` section, so a future overhead
-regression gets the same operator-level diagnosis as any other).
+power-test passes, overhead asserted under the budget.
 """
 
 from __future__ import annotations
 
 import time
 
-from benchmarks._record import record
-from repro.analysis.profile import bench_profile_section
 from repro.driver.bi_driver import power_test
 from repro.obs import disable_profiling, enable_profiling
 
@@ -31,23 +26,20 @@ def test_profiler_overhead_under_budget(base_graph, base_params):
 
     def once():
         start = time.perf_counter()
-        report = power_test(base_graph, base_params, 1.0, workers=1)
-        return time.perf_counter() - start, report
+        power_test(base_graph, base_params, 1.0, workers=1)
+        return time.perf_counter() - start
 
     once()  # warm-up: caches and lazy imports paid before either mode
 
     plain: list[float] = []
     profiled: list[float] = []
-    report = None
     samples = 0
     try:
         for _ in range(ROUNDS):
             disable_profiling()
-            elapsed, _report = once()
-            plain.append(elapsed)
+            plain.append(once())
             prof = enable_profiling(PROFILE_HZ)
-            elapsed, report = once()
-            profiled.append(elapsed)
+            profiled.append(once())
             samples += prof.snapshot()["samples"]
             disable_profiling()
     finally:
@@ -59,25 +51,12 @@ def test_profiler_overhead_under_budget(base_graph, base_params):
     # noise-robust estimator for "how fast can this go" — scheduler and
     # cache interference only ever add time, and on a small host that
     # noise (±5-10% between passes) would swamp the sub-1% true
-    # overhead if medians were compared.  Medians are still recorded
-    # for bench-compare's trend gate.
+    # overhead if medians were compared.  Medians are still printed.
     overhead = max(0.0, min(profiled) / min(plain) - 1.0)
     print(
         f"\npower smoke unprofiled {1000 * plain_median:.1f} ms,"
         f" profiled@{PROFILE_HZ:g}Hz {1000 * profiled_median:.1f} ms"
         f" (best-vs-best +{100 * overhead:.1f}%, {samples} samples)"
-    )
-    record(
-        "profiler_overhead",
-        workload="bi",
-        mode="power",
-        hz=PROFILE_HZ,
-        rounds=ROUNDS,
-        unprofiled_median_ms=round(1000 * plain_median, 3),
-        profiled_median_ms=round(1000 * profiled_median, 3),
-        overhead_fraction=round(overhead, 4),
-        profiler_samples=samples,
-        profile=bench_profile_section(report.operator_stats),
     )
     assert samples > 0, "profiler took no samples during profiled rounds"
     assert overhead < OVERHEAD_BUDGET, (

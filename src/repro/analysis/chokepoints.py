@@ -138,15 +138,6 @@ OPERATOR_COUNTER_CPS: dict[str, str] = {
 }
 
 
-def counter_choke_point(counter_name: str) -> ChokePoint:
-    """The registry entry a driver counter maps to (KeyError if unknown)."""
-    identifier = OPERATOR_COUNTER_CPS[counter_name]
-    for cp in CHOKE_POINTS:
-        if cp.identifier == identifier:
-            return cp
-    raise KeyError(identifier)
-
-
 def coverage_matrix() -> dict[str, frozenset[str]]:
     """CP identifier -> set of query labels, derived from query metadata."""
     matrix: dict[str, set[str]] = {cp.identifier: set() for cp in CHOKE_POINTS}

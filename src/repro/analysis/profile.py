@@ -126,117 +126,8 @@ def format_chokepoint_profile(rows: list[dict[str, Any]]) -> str:
     return "\n".join(lines)
 
 
-# -- regression attribution (bench_compare's report) ------------------------
-
-
-def operator_span_times(document: Mapping[str, Any]) -> dict[str, int]:
-    """operator span name -> summed ``duration_us`` across a telemetry
-    document (empty for untraced runs)."""
-    totals: dict[str, int] = {}
-    for span in _walk(document.get("spans", ())):
-        if span.get("kind") == "operator":
-            name = span["name"]
-            totals[name] = totals.get(name, 0) + int(span["duration_us"])
-    return totals
-
-
-def bench_profile_section(
-    operator_stats: Mapping[int, Mapping[str, int]],
-    telemetry: Mapping[str, Any] | None = None,
-) -> dict[str, Any]:
-    """The ``profile`` section a ``BENCH_*.json`` record carries so
-    :func:`attribute_regression` can diff runs: operator counters summed
-    across queries, their per-CP roll-up, and — for traced runs — the
-    per-operator span time."""
-    operators: dict[str, int] = {}
-    for per_query in operator_stats.values():
-        for counter, value in per_query.items():
-            operators[counter] = operators.get(counter, 0) + int(value)
-    cps: dict[str, int] = {}
-    for counter, value in operators.items():
-        cp = OPERATOR_COUNTER_CPS.get(counter)
-        if cp is not None:
-            cps[cp] = cps.get(cp, 0) + value
-    section: dict[str, Any] = {"operators": operators, "cps": cps}
-    if telemetry is not None:
-        section["span_us"] = operator_span_times(telemetry)
-    return section
-
-
-#: (section key in a bench profile, axis label, unit label).
-_ATTRIBUTION_SECTIONS = (
-    ("operators", "operator", "ops"),
-    ("cps", "choke point", "ops"),
-    ("span_us", "operator span", "µs"),
-)
-
-
-def attribute_regression(
-    current: Mapping[str, Any],
-    previous: Mapping[str, Any],
-    top_n: int = 5,
-) -> list[dict[str, Any]]:
-    """Join two bench ``profile`` sections and rank the deltas.
-
-    Returns one row per (axis, name) — operator counters, their CP
-    roll-up, per-operator span time — sorted by descending relative
-    growth then absolute delta, ``top_n`` per axis, so the largest rows
-    name the operator/CP most likely responsible for a regressed
-    median.  Names absent from one side diff against 0.
-    """
-    rows: list[dict[str, Any]] = []
-    for section, axis, unit in _ATTRIBUTION_SECTIONS:
-        now = current.get(section) or {}
-        then = previous.get(section) or {}
-        deltas: list[dict[str, Any]] = []
-        for name in sorted(set(now) | set(then)):
-            after = float(now.get(name, 0))
-            before = float(then.get(name, 0))
-            change = after - before
-            if not change:
-                continue
-            ratio = after / before if before else float("inf")
-            deltas.append(
-                {
-                    "axis": axis,
-                    "name": name,
-                    "unit": unit,
-                    "before": before,
-                    "after": after,
-                    "delta": change,
-                    "ratio": ratio,
-                }
-            )
-        deltas.sort(key=lambda row: (-row["ratio"], -abs(row["delta"]),
-                                     row["name"]))
-        rows.extend(deltas[:top_n])
-    return rows
-
-
-def format_attribution(rows: list[dict[str, Any]]) -> str:
-    """Render an attribution report (bench_compare prints this under a
-    regressed record so CI names the suspect operator)."""
-    if not rows:
-        return "  (no profile deltas to attribute)"
-    lines = []
-    for row in rows:
-        ratio = (
-            "new" if row["ratio"] == float("inf") else f"{row['ratio']:.2f}x"
-        )
-        lines.append(
-            f"  {row['axis']:>13s} {row['name']:<28s}"
-            f" {row['before']:>12.0f} -> {row['after']:>12.0f}"
-            f" {row['unit']} ({ratio})"
-        )
-    return "\n".join(lines)
-
-
 __all__ = [
-    "attribute_regression",
-    "bench_profile_section",
     "chokepoint_profile",
-    "format_attribution",
     "format_chokepoint_profile",
-    "operator_span_times",
     "span_times_by_cp",
 ]

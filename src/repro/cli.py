@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -33,8 +34,31 @@ from repro.driver.validation import (
 from repro.params.files import write_parameter_files
 
 
+def _checked(parse, accept, rule: str):
+    """An argparse ``type=`` that parses with ``parse`` and rejects a
+    value unless ``accept(value)``: a bad number is then a usage error
+    (exit 2) before any network is generated."""
+
+    def convert(text: str):
+        value = parse(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"{text!r}: must be {rule}")
+        return value
+
+    convert.__name__ = parse.__name__  # "invalid int value: 'x'"
+    return convert
+
+
+_AT_LEAST_ONE = _checked(int, lambda value: value >= 1, ">= 1")
+_NOT_NEGATIVE = _checked(int, lambda value: value >= 0, ">= 0")
+_POSITIVE = _checked(float, lambda value: value > 0, "> 0")
+_FINITE_NOT_NEGATIVE = _checked(
+    float, lambda value: 0 <= value < math.inf, "finite and >= 0"
+)
+
+
 def _add_dataset_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--persons", type=int, default=300,
+    parser.add_argument("--persons", type=_AT_LEAST_ONE, default=300,
                         help="number of persons to generate (default 300)")
     parser.add_argument("--seed", type=int, default=42,
                         help="datagen master seed (default 42)")
@@ -257,16 +281,16 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mode", default=None,
                         choices=["power", "throughput", "concurrent"],
                         help="BI execution mode (default power)")
-    parser.add_argument("--workers", type=int, default=None,
+    parser.add_argument("--workers", type=_AT_LEAST_ONE, default=None,
                         help="worker-pool size (default: 1; --mode"
                              " concurrent: one per stream)")
-    parser.add_argument("--timeout", type=float, default=None,
+    parser.add_argument("--timeout", type=_POSITIVE, default=None,
                         help="per-query deadline in seconds")
     parser.add_argument("--snapshot-provider", default="inline",
                         choices=list(PROVIDERS),
                         help="how process workers obtain the read"
                              " snapshot (default: inline)")
-    parser.add_argument("--morsel-size", type=int, default=None,
+    parser.add_argument("--morsel-size", type=_AT_LEAST_ONE, default=None,
                         help="split heavy BI scans into morsels of this"
                              " many rows across the pool (default: off)")
     parser.add_argument("--query", type=int, choices=range(1, 26),
@@ -276,9 +300,9 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--throughput", action="store_true",
                         help="after a BI power test, also run the"
                              " microbatch throughput test")
-    parser.add_argument("--updates", type=int, default=None,
+    parser.add_argument("--updates", type=_NOT_NEGATIVE, default=None,
                         help="interactive: cap on update operations")
-    parser.add_argument("--tcr", type=float, default=0.0,
+    parser.add_argument("--tcr", type=_FINITE_NOT_NEGATIVE, default=0.0,
                         help="interactive: time compression ratio"
                              " (0 = flat out)")
     parser.add_argument("--deletes", action="store_true",

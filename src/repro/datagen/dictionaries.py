@@ -323,22 +323,6 @@ class Dictionaries:
     def num_countries(self) -> int:
         return len(self.country_names)
 
-    def descendant_classes(self, class_idx: int) -> set[int]:
-        """The tag class and all its transitive subclasses."""
-        children: dict[int, list[int]] = {i: [] for i in range(len(self.tag_class_names))}
-        for idx, parent in enumerate(self.tag_class_parent):
-            if parent >= 0:
-                children[parent].append(idx)
-        result: set[int] = set()
-        stack = [class_idx]
-        while stack:
-            current = stack.pop()
-            if current in result:
-                continue
-            result.add(current)
-            stack.extend(children[current])
-        return result
-
 
 def _ranked_names(pool: tuple[str, ...], country_idx: int) -> tuple[str, ...]:
     """Country-parameterised ranking function R over a name dictionary.

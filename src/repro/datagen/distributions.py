@@ -13,8 +13,8 @@
   geometrically distributed distances (``DeterministicRng.geometric``),
   implemented in :mod:`repro.datagen.knows`.
 
-* Flashmob post volume around an event follows a symmetric exponential
-  decay in time, the shape of the post-volume spikes of [17].
+* Flashmob post volume around an event decays in time, the shape of the
+  post-volume spikes of [17]; implemented in :mod:`repro.datagen.activity`.
 """
 
 from __future__ import annotations
@@ -61,13 +61,3 @@ def sample_degree(rng: DeterministicRng, num_persons: int) -> int:
     mu = -0.5 * _DEGREE_SIGMA ** 2
     multiplier = math.exp(rng.gauss(mu, _DEGREE_SIGMA))
     return max(1, min(cap, round(target * multiplier)))
-
-
-def flashmob_volume(offset_millis: int, intensity: float, width_millis: int) -> float:
-    """Relative post volume at a time offset from a flashmob event peak.
-
-    Symmetric exponential decay: volume halves every ``width_millis``.
-    """
-    if width_millis <= 0:
-        raise ValueError("width_millis must be positive")
-    return intensity * math.exp(-abs(offset_millis) / width_millis * math.log(2))

@@ -53,20 +53,3 @@ def frequencies_for_scale_factor(scale_factor: float) -> dict[int, int]:
         raise ValueError("scale_factor must be positive")
     nearest = min(FREQUENCIES, key=lambda sf: abs(sf - scale_factor))
     return dict(FREQUENCIES[nearest])
-
-
-def apply_time_compression(
-    frequencies: dict[int, int], time_compression_ratio: float
-) -> dict[int, int]:
-    """Scale all frequencies by the TCR, preserving their ratios.
-
-    Frequencies count updates per complex read, so a TCR < 1 (faster
-    runs) *lowers* the thresholds proportionally; the relative ratios
-    between query types are maintained, per spec 3.4.
-    """
-    if time_compression_ratio <= 0:
-        raise ValueError("time_compression_ratio must be positive")
-    return {
-        query: max(1, round(frequency * time_compression_ratio))
-        for query, frequency in frequencies.items()
-    }

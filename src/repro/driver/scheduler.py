@@ -97,13 +97,3 @@ class Scheduler:
         kind_order = {"update": 0, "delete": 1, "complex": 2}
         schedule.sort(key=lambda op: (op.due, kind_order[op.kind], op.number))
         return schedule
-
-    def expected_mix(self) -> dict[int, int]:
-        """How many instances of each complex read the schedule holds —
-        ``len(updates) // frequency`` by construction (Table 3.1 check)."""
-        total = len(self.updates)
-        return {
-            query: total // frequency
-            for query, frequency in self.frequencies.items()
-            if self.parameters.get(query)
-        }

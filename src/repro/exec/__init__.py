@@ -36,7 +36,6 @@ from repro.exec.tasks import (
     STATUS_TIMEOUT,
     Task,
     TaskOutcome,
-    register_task_kind,
     run_task,
 )
 
@@ -59,7 +58,6 @@ __all__ = [
     "activate",
     "active",
     "provide_snapshot",
-    "register_task_kind",
     "resolve_workers",
     "run_task",
 ]

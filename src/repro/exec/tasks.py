@@ -205,11 +205,6 @@ TASK_KINDS: dict[str, Callable[..., Any]] = {
 }
 
 
-def register_task_kind(name: str, runner: Callable[..., Any]) -> None:
-    """Register a custom task kind (must happen before workers fork)."""
-    TASK_KINDS[name] = runner
-
-
 def run_task(task: Task) -> Any:
     """Execute one task against the active snapshot handle."""
     try:

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from repro.engine import expand
 from repro.graph.store import SocialGraph
-from repro.schema.entities import Message
-from repro.util.dates import DateTime
 
 
 def knows_distances(
@@ -105,17 +103,3 @@ def all_shortest_paths(
             stack.append((pred, suffix + [pred]))
     paths.sort()
     return paths
-
-
-def in_window(ts: DateTime, start: DateTime, end: DateTime) -> bool:
-    """Closed-open interval membership [start, end) used across queries."""
-    return start <= ts < end
-
-
-def message_language(graph: SocialGraph, message: Message) -> str:
-    """The language of a Message per BI 18: a Post's own language; a
-    Comment's is the language of the Post initiating its thread.
-
-    Delegates to the store so a frozen snapshot can answer from its
-    root-ordinal + language columns without materializing the root."""
-    return graph.language_of_message(message)

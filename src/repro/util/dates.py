@@ -181,16 +181,3 @@ def months_between_inclusive(start: DateTime, end: DateTime) -> int:
     s = _as_date(datetime_to_date(start))
     e = _as_date(datetime_to_date(end))
     return (e.year - s.year) * 12 + (e.month - s.month) + 1
-
-
-def add_months(date: Date, months: int) -> Date:
-    """Shift a day ordinal by a number of calendar months (day clamped)."""
-    d = _as_date(date)
-    total = d.year * 12 + (d.month - 1) + months
-    year, month0 = divmod(total, 12)
-    month = month0 + 1
-    if month == 12:
-        last_day = 31
-    else:
-        last_day = (_dt.date(year, month + 1, 1) - _dt.timedelta(days=1)).day
-    return make_date(year, month, min(d.day, last_day))

@@ -14,7 +14,8 @@ orders.  Each test here holds one of them:
 * **Source scans** over ``src/repro``: no stdlib ``random`` outside the
   RNG hub, no wall-clock read outside ``repro/obs/`` but two deadline
   reads, no layout or telemetry import in query code, the tracer clock
-  only inside ``repro/obs/``, and frame hooks only in the profiler.
+  only inside ``repro/obs/``, frame hooks only in the profiler, and no
+  environment read or write anywhere: run settings are arguments.
 
 The only exemptions are the reference oracle ``queries/bi/reference.py``,
 ``repro/obs/``, ``util/rng.py`` and the two functions in
@@ -165,6 +166,7 @@ CLOCK_READS = {
 _TIME_FUNCS = {"time", "time_ns", "localtime", "monotonic", "monotonic_ns"}
 _FRAME_HOOKS = {"_current_frames", "setprofile", "settrace"}
 _QUERY_BANNED = ("repro.obs", "repro.graph.frozen", "repro.graph.delta")
+_ENVIRON = {"os.environ", "os.getenv", "os.putenv", "os.unsetenv"}
 
 
 def _walk(node, scope=""):
@@ -222,6 +224,10 @@ def _findings(path, scope, node):
             yield "query-import"
     if path != "obs/prof.py" and _name(call) in _FRAME_HOOKS:
         yield "frame-hook"
+    attribute = (f"{_name(node.value)}.{node.attr}"
+                 if isinstance(node, ast.Attribute) else None)
+    if attribute in _ENVIRON or any(name in _ENVIRON for name in imported):
+        yield "environ"
 
 
 @pytest.fixture(scope="module")
@@ -237,7 +243,7 @@ def findings():
 
 
 @pytest.mark.parametrize(
-    "rule", ["random", "now_us", "query-import", "frame-hook"]
+    "rule", ["random", "now_us", "query-import", "frame-hook", "environ"]
 )
 def test_source_keeps_the_boundary(rule, findings):
     assert findings.get(rule, []) == []

@@ -133,6 +133,32 @@ class TestRun:
         assert "run-interactive" not in help_text
         assert main(["run-bi", "--persons", "80", "--query", "2"]) == 0
 
+    @pytest.mark.parametrize("option, value", [
+        ("--persons", "0"),
+        ("--workers", "0"),
+        ("--morsel-size", "0"),
+        ("--timeout", "-1"),
+        ("--timeout", "0"),
+        ("--updates", "-3"),
+        ("--tcr", "-1"),
+        ("--tcr", "nan"),
+        ("--tcr", "inf"),
+    ])
+    def test_bad_number_is_a_usage_error_before_generating(
+        self, monkeypatch, capsys, option, value
+    ):
+        def never(args):
+            raise AssertionError("the network was generated")
+
+        monkeypatch.setattr("repro.cli._bench", never)
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "run", "--workload", "interactive", "--persons", "40",
+                "--updates", "20", option, value,
+            ])
+        assert exit_info.value.code == 2
+        assert option in capsys.readouterr().err
+
 
 class TestRunBi:
     def test_single_query(self, capsys):

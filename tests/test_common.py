@@ -6,9 +6,7 @@ import pytest
 from repro.graph.store import SocialGraph
 from repro.queries.common import (
     all_shortest_paths,
-    in_window,
     knows_distances,
-    message_language,
     shortest_path_length,
 )
 
@@ -98,20 +96,15 @@ class TestAllShortestPaths:
             assert len(set(path)) == len(path)
 
 
-class TestInWindow:
-    def test_closed_open(self):
-        assert in_window(10, 10, 20)
-        assert not in_window(20, 10, 20)
-        assert not in_window(9, 10, 20)
-
-
 class TestMessageLanguage:
+    """BI 18's message language: a Comment takes its root Post's."""
+
     def test_post_language(self):
         b = GraphBuilder()
         p = b.person()
         f = b.forum(p)
         post = b.post(p, f, language="fr")
-        assert message_language(b.graph, b.graph.posts[post]) == "fr"
+        assert b.graph.language_of_message(b.graph.posts[post]) == "fr"
 
     def test_comment_inherits_root_language(self):
         b = GraphBuilder()
@@ -120,4 +113,4 @@ class TestMessageLanguage:
         post = b.post(p, f, language="ja")
         c1 = b.comment(p, post)
         c2 = b.comment(p, c1)
-        assert message_language(b.graph, b.graph.comments[c2]) == "ja"
+        assert b.graph.language_of_message(b.graph.comments[c2]) == "ja"

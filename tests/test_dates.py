@@ -99,24 +99,6 @@ class TestMonthsBetween:
         assert months <= delta // (28 * dates.MILLIS_PER_DAY) + 2
 
 
-class TestAddMonths:
-    def test_simple_shift(self):
-        date = dates.make_date(2012, 3, 10)
-        assert dates.add_months(date, 2) == dates.make_date(2012, 5, 10)
-
-    def test_clamps_to_month_end(self):
-        date = dates.make_date(2012, 1, 31)
-        assert dates.add_months(date, 1) == dates.make_date(2012, 2, 29)
-
-    def test_negative_shift(self):
-        date = dates.make_date(2012, 1, 15)
-        assert dates.add_months(date, -1) == dates.make_date(2011, 12, 15)
-
-    def test_december_shift(self):
-        date = dates.make_date(2012, 11, 30)
-        assert dates.add_months(date, 1) == dates.make_date(2012, 12, 30)
-
-
 class TestMonthWindow:
     def test_covers_exactly_one_month(self):
         start, end = dates.month_window(2012, 6)

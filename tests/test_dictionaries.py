@@ -90,19 +90,6 @@ class TestTagHierarchy:
             for cls in dicts.tag_class_of_tag
         )
 
-    def test_descendant_closure_includes_self(self, dicts):
-        idx = dicts.tag_class_names.index("Work")
-        closure = dicts.descendant_classes(idx)
-        assert idx in closure
-        for child_name in ("Album", "Film", "Book"):
-            assert dicts.tag_class_names.index(child_name) in closure
-
-    def test_descendants_of_root_is_everything(self, dicts):
-        root = dicts.tag_class_names.index("Thing")
-        assert dicts.descendant_classes(root) == set(
-            range(len(dicts.tag_class_names))
-        )
-
     def test_tag_matrix_links_within_class(self, dicts):
         for tag, related in enumerate(dicts.tag_related):
             for other in related:

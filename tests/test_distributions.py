@@ -64,20 +64,3 @@ class TestSampleDegree:
     def test_at_least_one_friend(self):
         rng = DeterministicRng(45, "degrees")
         assert all(dist.sample_degree(rng, 1000) >= 1 for _ in range(500))
-
-
-class TestFlashmobVolume:
-    def test_peak_at_zero_offset(self):
-        assert dist.flashmob_volume(0, 5.0, 1000) == pytest.approx(5.0)
-
-    def test_halves_at_width(self):
-        assert dist.flashmob_volume(1000, 4.0, 1000) == pytest.approx(2.0)
-
-    def test_symmetric(self):
-        a = dist.flashmob_volume(500, 1.0, 1000)
-        b = dist.flashmob_volume(-500, 1.0, 1000)
-        assert a == pytest.approx(b)
-
-    def test_rejects_non_positive_width(self):
-        with pytest.raises(ValueError):
-            dist.flashmob_volume(0, 1.0, 0)

@@ -5,7 +5,6 @@ import pytest
 from repro.datagen.update_streams import build_update_streams
 from repro.driver.mix import (
     FREQUENCIES,
-    apply_time_compression,
     frequencies_for_scale_factor,
 )
 from repro.driver.runner import Driver, DriverReport, ResultsLogEntry
@@ -57,18 +56,6 @@ class TestMix:
         with pytest.raises(ValueError):
             frequencies_for_scale_factor(0)
 
-    def test_time_compression_preserves_ratios(self):
-        base = {1: 20, 2: 40}
-        squeezed = apply_time_compression(base, 0.5)
-        assert squeezed == {1: 10, 2: 20}
-
-    def test_time_compression_floor(self):
-        assert apply_time_compression({1: 3}, 0.1) == {1: 1}
-
-    def test_time_compression_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            apply_time_compression({1: 1}, 0)
-
 
 class TestScheduler:
     def test_updates_keep_their_timestamps(self, driver_setup):
@@ -91,17 +78,6 @@ class TestScheduler:
         )
         for query, frequency in frequencies.items():
             assert issued[query] == len(updates) // frequency
-
-    def test_expected_mix_matches_build(self, driver_setup):
-        graph, updates, frequencies, parameters = driver_setup
-        scheduler = Scheduler(updates, frequencies, parameters)
-        schedule = scheduler.build()
-        from collections import Counter
-
-        issued = Counter(op.number for op in schedule if op.kind == "complex")
-        assert dict(issued) == {
-            k: v for k, v in scheduler.expected_mix().items() if v > 0
-        }
 
     def test_schedule_sorted_by_due_time(self, driver_setup):
         graph, updates, frequencies, parameters = driver_setup

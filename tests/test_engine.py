@@ -5,7 +5,6 @@ import pytest
 from repro.analysis.chokepoints import (
     CHOKE_POINTS,
     OPERATOR_COUNTER_CPS,
-    counter_choke_point,
 )
 from repro.engine import (
     expand,
@@ -352,7 +351,3 @@ class TestChokePointMapping:
             assert name in OPERATOR_COUNTER_CPS, name
         for name, cp in OPERATOR_COUNTER_CPS.items():
             assert cp in known, f"{name} -> unknown CP {cp}"
-
-    def test_counter_choke_point_rejects_unknown(self):
-        with pytest.raises(KeyError):
-            counter_choke_point("not_a_counter")

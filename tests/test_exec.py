@@ -24,10 +24,10 @@ from repro.exec import (
     WorkerPool,
     activate,
     active,
-    register_task_kind,
     resolve_workers,
     run_task,
 )
+from repro.exec.tasks import TASK_KINDS
 from repro.graph.store import SocialGraph
 
 # -- module-level task payloads (picklable for process workers) ------------
@@ -82,7 +82,7 @@ def _context_tag(graph, context):
 
 
 # Registered at import: fork-based workers inherit the registry.
-register_task_kind("context_tag", _context_tag)
+TASK_KINDS["context_tag"] = _context_tag
 
 
 def _call_tasks(specs):

@@ -78,11 +78,11 @@ def test_durable_write_overhead(base_net, tmp_path):
     writes = _writes(base_net, count=500)
 
     raw_graph = SocialGraph.from_data(base_net, until=base_net.cutoff)
-    from repro.driver.recovery import _apply
+    from repro.driver.transactions import apply_write
 
     start = time.perf_counter()
     for op in writes:
-        _apply(raw_graph, op)
+        apply_write(raw_graph, op)
     raw_seconds = time.perf_counter() - start
 
     sut = DurableSut(

@@ -6,9 +6,9 @@ Commands mirror the benchmark workflow (spec Figure 2.3):
   streams and substitution-parameter files.
 * ``run``        — run a workload: ``--workload bi`` (power /
   throughput / concurrent modes, or one query via ``--query``) or
-  ``--workload interactive`` (the driver).  ``--workers`` / ``--timeout``
-  configure the :mod:`repro.exec` pool.  The pre-envelope commands
-  ``run-bi`` and ``run-interactive`` remain as hidden aliases.
+  ``--workload interactive`` (the serial driver).  ``--workers`` /
+  ``--timeout`` configure the :mod:`repro.exec` pool of a BI run; with
+  ``--workload interactive`` they are a usage error.
 * ``validate``   — create or check a validation dataset (spec 6.2).
 * ``report``     — print reference tables (choke points, scale factors).
 """
@@ -177,32 +177,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
         report = bench.run(request)
         print(report.format_table())
-        telemetry_source = report
-        if args.throughput and request.mode == "power":
-            outcome = bench.run(
-                RunRequest(
-                    workload="bi",
-                    mode="throughput",
-                    workers=args.workers,
-                    timeout=args.timeout,
-                    snapshot=_snapshot_config(args),
-                )
-            )
-            print(outcome.format_table())
-            # The tracer is run-global: the second run's document holds
-            # the spans and metrics of both runs.
-            telemetry_source = outcome
         if args.results_dir:
             report.write_results_dir(
                 args.results_dir, configuration=_configuration(args, request)
             )
             print(f"results directory: {args.results_dir}")
-        _write_telemetry(args, telemetry_source)
+        _write_telemetry(args, report)
         return 0
     request = RunRequest(
         workload="interactive",
-        workers=args.workers,
-        timeout=args.timeout,
         options={
             "time_compression_ratio": args.tcr,
             "max_updates": args.updates,
@@ -275,17 +258,17 @@ def _snapshot_config(args: argparse.Namespace) -> SnapshotConfig:
 
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
-    """Everything the unified ``run`` command (and its hidden aliases)
-    accepts; options apply per workload as documented."""
+    """Everything the ``run`` command accepts; options apply per
+    workload as documented."""
     _add_dataset_options(parser)
     parser.add_argument("--mode", default=None,
                         choices=["power", "throughput", "concurrent"],
                         help="BI execution mode (default power)")
     parser.add_argument("--workers", type=_AT_LEAST_ONE, default=None,
-                        help="worker-pool size (default: 1; --mode"
+                        help="BI: worker-pool size (default: 1; --mode"
                              " concurrent: one per stream)")
     parser.add_argument("--timeout", type=_POSITIVE, default=None,
-                        help="per-query deadline in seconds")
+                        help="BI: per-query deadline in seconds")
     parser.add_argument("--snapshot-provider", default="inline",
                         choices=list(PROVIDERS),
                         help="how process workers obtain the read"
@@ -297,9 +280,6 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
                         help="run one BI query instead of a full test")
     parser.add_argument("--limit", type=int, default=10,
                         help="rows to print for --query")
-    parser.add_argument("--throughput", action="store_true",
-                        help="after a BI power test, also run the"
-                             " microbatch throughput test")
     parser.add_argument("--updates", type=_NOT_NEGATIVE, default=None,
                         help="interactive: cap on update operations")
     parser.add_argument("--tcr", type=_FINITE_NOT_NEGATIVE, default=0.0,
@@ -328,12 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="LDBC Social Network Benchmark (BI workload) reproduction",
     )
-    # The metavar hides the legacy run-bi/run-interactive aliases from
-    # usage/help while argparse keeps accepting them.
-    commands = parser.add_subparsers(
-        dest="command", required=True,
-        metavar="{generate,run,validate,report}",
-    )
+    commands = parser.add_subparsers(dest="command", required=True)
 
     generate = commands.add_parser(
         "generate", help="run Datagen and export all artefacts"
@@ -360,15 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_options(run)
     run.set_defaults(handler=_cmd_run)
 
-    # Hidden aliases of `run` (the pre-envelope command names).
-    run_bi = commands.add_parser("run-bi")
-    _add_run_options(run_bi)
-    run_bi.set_defaults(handler=_cmd_run, workload="bi")
-
-    run_interactive = commands.add_parser("run-interactive")
-    _add_run_options(run_interactive)
-    run_interactive.set_defaults(handler=_cmd_run, workload="interactive")
-
     validate = commands.add_parser(
         "validate", help="create or check a validation dataset"
     )
@@ -390,7 +356,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "run" and args.workload == "interactive":
+        # The driver replays serially: a pool setting would be ignored.
+        for flag, value in (("--workers", args.workers),
+                            ("--timeout", args.timeout)):
+            if value is not None:
+                parser.error(f"{flag} applies to BI runs only; the"
+                             " Interactive driver replays serially")
     return args.handler(args)
 
 

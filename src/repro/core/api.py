@@ -8,7 +8,7 @@ Typical use::
     bench = SocialNetworkBenchmark.generate(num_persons=1000, seed=42)
     rows = bench.bi.run(12)                  # BI 12 with curated params
     rows = bench.bi.run(13, "India")         # or explicit params
-    report = bench.run_driver(workers=4)     # the Interactive workload
+    report = bench.run_driver()              # the Interactive workload
     print(report.format_table())
 
     # or through the unified envelope (what the CLI ``run`` command uses):
@@ -181,8 +181,6 @@ class SocialNetworkBenchmark:
         seed: int = 1234,
         max_updates: int | None = None,
         include_deletes: bool = False,
-        workers: int = 1,
-        timeout: float | None = None,
     ) -> DriverReport:
         """Run the Interactive workload: replay the update streams with
         frequency-interleaved complex reads and short-read sequences.
@@ -191,12 +189,9 @@ class SocialNetworkBenchmark:
         insert/delete mix of spec section 5.2 / the VLDB 2022 BI
         workload) at its own timestamps.
 
-        ``workers > 1`` parallelises consecutive complex reads on the
-        :mod:`repro.exec` pool (flat-out runs only); the results log
-        merges deterministically — identical content to a serial run.
-
-        A negative ``max_updates``, or a time compression ratio that is
-        negative, infinite or NaN, is a ``ValueError`` before any work.
+        The replay is serial, in schedule order.  A negative
+        ``max_updates``, or a time compression ratio that is negative,
+        infinite or NaN, is a ``ValueError`` before any work.
         """
         if max_updates is not None and max_updates < 0:
             raise ValueError(f"max_updates must be >= 0, got {max_updates}")
@@ -216,7 +211,7 @@ class SocialNetworkBenchmark:
             for number in sorted(ALL_COMPLEX)
         }
         schedule = Scheduler(updates, frequencies, parameters, deletes).build()
-        return driver.run(schedule, workers=workers, timeout=timeout)
+        return driver.run(schedule)
 
     def run(self, request: RunRequest) -> RunReport:
         """Execute one benchmark run described by a :class:`RunRequest`.
@@ -224,7 +219,8 @@ class SocialNetworkBenchmark:
         The single dispatch point behind the CLI ``run`` command: every
         workload/mode combination accepts the same envelope and returns
         a :class:`RunReport`, with ``request.workers`` / ``request.timeout``
-        threaded to the :mod:`repro.exec` pool identically everywhere.
+        threaded to the :mod:`repro.exec` pool identically in every BI
+        mode (the Interactive driver is serial and has no pool).
 
         The whole run executes under one ``run`` span, and the report
         leaves with the telemetry document attached
@@ -251,8 +247,6 @@ class SocialNetworkBenchmark:
                 seed=request.seed,
                 max_updates=opts.get("max_updates"),
                 include_deletes=opts.get("include_deletes", False),
-                workers=request.workers,
-                timeout=request.timeout,
             )
         if request.mode == "power":
             return power_test(

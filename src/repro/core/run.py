@@ -54,9 +54,11 @@ class RunRequest:
     workload: str = "bi"
     mode: str | None = None
     #: Worker-pool size; ``None`` selects the mode's own: one worker
-    #: per stream for ``concurrent``, else 1 (serial).
+    #: per stream for ``concurrent``, else 1 (serial).  The Interactive
+    #: driver is serial: any other count is a ``ValueError``.
     workers: int | None = None
-    #: Per-query deadline in seconds (``None`` = no deadline).
+    #: Per-query deadline in seconds (``None`` = no deadline); BI only,
+    #: a ``ValueError`` for the Interactive driver.
     timeout: float | None = None
     seed: int = 1234
     #: How BI workers obtain graph state (provider, freeze, compaction,
@@ -76,6 +78,13 @@ class RunRequest:
             raise ValueError(
                 f"mode for workload {self.workload!r} must be one of "
                 f"{modes}, got {self.mode!r}"
+            )
+        if self.workload == "interactive" and (
+            self.workers not in (None, 1) or self.timeout is not None
+        ):
+            raise ValueError(
+                "the Interactive driver replays serially: it takes no"
+                f" workers ({self.workers!r}) or timeout ({self.timeout!r})"
             )
         if self.workers is None:
             self.workers = (

@@ -42,6 +42,7 @@ from repro.core.run import DEFAULT_STREAMS, RunReport
 from repro.datagen.delete_streams import DeleteOperation, build_delete_streams
 from repro.datagen.generator import SocialNetworkData
 from repro.datagen.update_streams import UpdateOperation, build_update_streams
+from repro.driver.transactions import apply_write
 from repro.engine import merge_counters, reset_counters
 from repro.exec import (
     InlineSnapshot,
@@ -58,8 +59,6 @@ from repro.obs.spans import span
 from repro.params.curation import ParameterGenerator
 from repro.queries.bi import ALL_QUERIES
 from repro.queries.bi.morsels import MORSEL_PLANS
-from repro.queries.interactive.deletes import ALL_DELETES
-from repro.queries.interactive.updates import ALL_UPDATES
 from repro.util.dates import MILLIS_PER_DAY
 
 
@@ -511,15 +510,8 @@ def throughput_test(
                 with span(f"batch[{batch_index}]", kind="operation",
                           writes=batch.size):
                     write_start = time.perf_counter()
-                    for insert in batch.inserts:
-                        try:
-                            ALL_UPDATES[insert.operation_id][0](
-                                graph, insert.params
-                            )
-                        except (KeyError, ValueError):
-                            pass  # write invalidated by an earlier delete
-                    for delete in batch.deletes:
-                        ALL_DELETES[delete.operation_id][0](graph, delete.params)
+                    for write in (*batch.inserts, *batch.deletes):
+                        apply_write(graph, write)
                     batch_seconds.append(time.perf_counter() - write_start)
                     metrics.histogram("repro_batch_write_seconds").observe(
                         batch_seconds[-1]

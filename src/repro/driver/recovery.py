@@ -30,23 +30,14 @@ from typing import Union
 
 from repro.datagen.delete_streams import DeleteOperation
 from repro.datagen.update_streams import UpdateOperation
+from repro.driver.transactions import apply_write
 from repro.graph import snapfile
 from repro.graph.frozen import FrozenGraph
 from repro.graph.store import SocialGraph
-from repro.queries.interactive.deletes import ALL_DELETES
-from repro.queries.interactive.updates import ALL_UPDATES
 
 WriteOperation = Union[UpdateOperation, DeleteOperation]
 
 CHECKPOINT = "checkpoint.pickle"
-
-
-def _apply(graph: SocialGraph, op: WriteOperation) -> None:
-    registry = ALL_UPDATES if isinstance(op, UpdateOperation) else ALL_DELETES
-    try:
-        registry[op.operation_id][0](graph, op.params)
-    except (KeyError, ValueError):
-        pass  # skipped write (reference deleted earlier); still logged
 
 
 def _encode(op: WriteOperation) -> str:
@@ -99,7 +90,7 @@ class DurableSut:
             raise RuntimeError("SUT has crashed; recover first")
         self._wal.write(_encode(op) + "\n")
         self._wal.flush()
-        _apply(self.graph, op)
+        apply_write(self.graph, op)  # a skipped write stays in the WAL
         self._writes += 1
         if self._writes % self.checkpoint_every == 0:
             self.checkpoint()
@@ -153,6 +144,6 @@ def recover(directory: Path | str) -> tuple[SocialGraph, int]:
                 continue
             if not record.endswith(b"\n"):
                 break  # torn tail
-            _apply(graph, _decode(record[:-1], line))
+            apply_write(graph, _decode(record[:-1], line))
             replayed += 1
     return graph, covered + replayed

@@ -18,35 +18,25 @@ operation is logged with its scheduled and actual start time; the §6.2
 validity rule (95 % of queries start within 1 second of schedule) is
 evaluated over the log.
 
-Flat-out replays (TCR 0) with ``workers > 1`` run each maximal run of
-consecutive complex reads on a :mod:`repro.exec` process pool forked
-after the writes before it; under the ``spawn`` start method every such
-pool ships the graph by value, so on spawn-only platforms keep
-``workers=1``.
+The replay is one serial loop in schedule order: writes, complex reads
+and their short-read sequences all run in the calling process against
+the live store.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.run import RunReport
 from repro.driver.scheduler import ScheduledOperation
-from repro.exec import (
-    InlineSnapshot,
-    Task,
-    WorkerPool,
-    accumulate_exec_stats,
-    resolve_workers,
-)
+from repro.driver.transactions import apply_write
 from repro.graph.store import SocialGraph
 from repro.obs.metrics import registry, summarize_seconds
 from repro.obs.spans import span
 from repro.queries.interactive.complex import ALL_COMPLEX
-from repro.queries.interactive.deletes import ALL_DELETES
 from repro.queries.interactive.short import ALL_SHORT
-from repro.queries.interactive.updates import ALL_UPDATES
 from repro.util.rng import DeterministicRng
 
 #: Complex reads whose results contain message ids -> message-centric
@@ -92,8 +82,6 @@ class DriverReport(RunReport):
 
     log: list[ResultsLogEntry]
     wall_seconds: float
-    #: Worker-pool bookkeeping when the run executed reads in parallel.
-    exec_stats: dict = field(default_factory=dict)
 
     @property
     def total_operations(self) -> int:
@@ -151,7 +139,6 @@ class DriverReport(RunReport):
             "valid_run": self.is_valid_run,
             "invalidated_reads": self.invalidated_reads,
             "per_operation": self.per_operation_stats(),
-            "exec": self.exec_stats,
         }
 
     def write_results_log(self, path) -> None:
@@ -215,8 +202,6 @@ class Driver:
         self,
         schedule: list[ScheduledOperation],
         warmup_reads: int = 0,
-        workers: int = 1,
-        timeout: float | None = None,
     ) -> DriverReport:
         """Execute the schedule.
 
@@ -224,24 +209,7 @@ class Driver:
         starts (spec §6.2's warmup phase): the first bindings of the
         schedule's read operations run unlogged, warming the process
         without mutating the graph.
-
-        ``workers > 1`` executes each run of consecutive complex reads
-        on its own :mod:`repro.exec` worker pool, forked after the
-        writes before it (a run of one read executes inline).  The
-        results log keeps schedule order, short-read sequences still
-        issue serially from
-        each read's results, and the driver RNG is drawn in schedule
-        order, so a parallel run's log is identical in content to a
-        serial run's.  Parallel issue applies only to flat-out replays
-        (``time_compression_ratio`` 0); paced runs schedule each
-        operation individually and stay serial.  ``timeout`` bounds each
-        parallel read: a hard deadline (worker killed, read retried once,
-        then recorded) wherever a run holds more than one read; see
-        :class:`repro.exec.WorkerPool`.  Reads run on the live store
-        through :class:`~repro.exec.InlineSnapshot`: it changes between
-        flushes, and forked workers inherit it for free.
         """
-        workers = resolve_workers(workers)
         if warmup_reads:
             warmed = 0
             for op in schedule:
@@ -253,10 +221,7 @@ class Driver:
                     break
         with span("driver", kind="phase", operations=len(schedule),
                   tcr=self.tcr):
-            if workers > 1 and self.tcr == 0 and schedule:
-                report = self._run_parallel(schedule, workers, timeout)
-            else:
-                report = self._run_paced(schedule)
+            report = self._run_paced(schedule)
         _record_log_metrics(report.log)
         return report
 
@@ -304,91 +269,19 @@ class Driver:
         scheduled_wall: float,
         log: list[ResultsLogEntry],
     ) -> None:
-        """Apply one IU/DEL operation and log it."""
+        """Apply one IU/DEL operation and log it; a write that an
+        earlier delete invalidated (the official driver skips it) is
+        logged as -1 rows."""
         prefix = "IU" if op.kind == "update" else "DEL"
         name = f"{prefix} {op.number}"
-        operations = ALL_UPDATES if op.kind == "update" else ALL_DELETES
-        runner = operations[op.number][0]
         actual = time.perf_counter()
         with span(name, kind="operation", write=op.number):
-            try:
-                runner(self.graph, op.params)
-                rows = 1
-            except (KeyError, ValueError):
-                # An earlier delete removed an entity this write
-                # references (e.g. a like on a deleted post); the
-                # official driver treats this as a skipped write.
-                rows = -1
+            rows = 1 if apply_write(self.graph, op.params) else -1
         finished = time.perf_counter()
         log.append(
             ResultsLogEntry(
                 name, scheduled_wall, actual, finished - actual, rows
             )
-        )
-
-    def _run_parallel(
-        self,
-        schedule: list[ScheduledOperation],
-        workers: int,
-        timeout: float | None,
-    ) -> DriverReport:
-        """Flat-out replay with parallel complex reads.
-
-        Writes apply serially in schedule order; maximal runs of
-        consecutive complex reads execute together on a pool forked
-        from the current graph (reads are pure).  Log entries and
-        short-read sequences are emitted in schedule order afterwards,
-        which is what keeps the merged log deterministic.  Each pool
-        is sized to its run (``min(workers, len(run))``); ``exec_stats``
-        reports the requested ``workers``.
-        """
-        log: list[ResultsLogEntry] = []
-        exec_stats: dict = {}
-        run_start = time.perf_counter()
-        buffer: list[ScheduledOperation] = []
-
-        def flush() -> None:
-            if not buffer:
-                return
-            pool = WorkerPool(
-                workers=min(workers, len(buffer)),
-                timeout=timeout,
-                snapshot=InlineSnapshot(self.graph),
-            )
-            merged = pool.run(
-                Task(index, "ic", (op.number, tuple(op.params)))
-                for index, op in enumerate(buffer)
-            )
-            accumulate_exec_stats(exec_stats, merged.stats_dict())
-            for op, outcome in zip(buffer, merged.outcomes):
-                invalidated = not outcome.ok or outcome.value is None
-                result = [] if invalidated else outcome.value
-                rows = -1 if invalidated else len(result)
-                log.append(
-                    ResultsLogEntry(
-                        f"IC {op.number}",
-                        run_start,  # flat-out: everything is due at start
-                        outcome.started,
-                        outcome.duration,
-                        rows,
-                    )
-                )
-                self._run_short_sequences(op.number, result, log)
-            buffer.clear()
-
-        for op in schedule:
-            if op.kind == "complex":
-                buffer.append(op)
-                continue
-            flush()
-            self._apply_write(op, run_start, log)
-        flush()
-        if exec_stats:
-            exec_stats.update(workers=workers, backend="process")
-        return DriverReport(
-            log=log,
-            wall_seconds=time.perf_counter() - run_start,
-            exec_stats=exec_stats,
         )
 
     # -- short reads --------------------------------------------------------

@@ -37,7 +37,9 @@ class ScheduledOperation:
     kind: str
     #: IU/DEL operation id or IC query number.
     number: int
-    #: IU/DEL parameter record, or the IC parameter tuple.
+    #: The IU/DEL stream operation itself (what
+    #: :func:`~repro.driver.transactions.apply_write` takes), or the IC
+    #: parameter tuple.
     params: Any
 
 
@@ -66,11 +68,11 @@ class Scheduler:
     def build(self) -> list[ScheduledOperation]:
         """The full schedule, ordered by due time."""
         schedule: list[ScheduledOperation] = [
-            ScheduledOperation(op.timestamp, "update", op.operation_id, op.params)
+            ScheduledOperation(op.timestamp, "update", op.operation_id, op)
             for op in self.updates
         ]
         schedule.extend(
-            ScheduledOperation(op.timestamp, "delete", op.operation_id, op.params)
+            ScheduledOperation(op.timestamp, "delete", op.operation_id, op)
             for op in self.deletes
         )
         cursors = {query: 0 for query in self.frequencies}

@@ -101,6 +101,24 @@ class AtomicExecutor:
         return True
 
 
+def apply_write(
+    graph: SocialGraph, op: UpdateOperation | DeleteOperation
+) -> bool:
+    """Apply one IU/DEL stream operation; ``False`` when it was skipped
+    because an earlier delete removed an entity it references (e.g. a
+    like on a deleted post), as the official driver skips such writes.
+
+    The registry entry is looked up per call, so a caller that swaps
+    an ``ALL_UPDATES``/``ALL_DELETES`` entry (to time it, say) sees its
+    replacement run."""
+    writes = ALL_UPDATES if isinstance(op, UpdateOperation) else ALL_DELETES
+    try:
+        writes[op.operation_id][0](graph, op.params)
+    except (KeyError, ValueError):
+        return False
+    return True
+
+
 def verify_serializable_history(
     original_start: SocialGraph,
     history: list[UpdateOperation | DeleteOperation],

@@ -8,15 +8,15 @@ handle (:mod:`repro.exec.snapshot` — inline/fork-inherited or a mapped
 snapshot file), with bounded dispatch, per-task
 deadlines, retry-once-then-record semantics, worker-crash recovery and
 deterministic result merging.  ``power_test`` / ``throughput_test`` /
-``concurrent_read_test`` and the Interactive driver all execute through
-it, each taking its worker count as a ``workers`` argument.
+``concurrent_read_test`` execute through it, each taking its worker
+count as a ``workers`` argument; the Interactive driver replays
+serially and does not use it.
 """
 
 from repro.exec.pool import (
     PoolResult,
     WorkerPool,
     accumulate_exec_stats,
-    resolve_workers,
 )
 from repro.exec.snapshot import (
     PROVIDERS,
@@ -58,6 +58,5 @@ __all__ = [
     "activate",
     "active",
     "provide_snapshot",
-    "resolve_workers",
     "run_task",
 ]

@@ -18,7 +18,7 @@ this reproduction:
   preceding writes.  Under ``fork`` that costs one fork per worker per
   block; under ``spawn`` the snapshot ships by value per block, so on
   spawn-only platforms keep ``workers=1`` for write-interleaved runs.
-* **Bounded dispatch** — at most ``queue_depth`` tasks are pulled ahead
+* **Bounded dispatch** — at most ``2 * workers`` tasks are pulled ahead
   of the workers, so a generator of tasks is consumed lazily and a slow
   pool never materializes an unbounded backlog.
 * **Deadlines** — ``timeout`` seconds per task.  A process pool
@@ -92,13 +92,6 @@ from repro.exec.tasks import (
     TaskOutcome,
     run_task,
 )
-
-def resolve_workers(workers: int) -> int:
-    """Validate a worker count (at least one)."""
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    return workers
-
 
 def start_method() -> str:
     """The process pool's start method: ``fork`` where the platform
@@ -338,26 +331,24 @@ class WorkerPool:
 
     ``workers=1`` (the default) executes serially in-process,
     anything above on one process per worker
-    (:attr:`backend` reports which).  ``queue_depth`` bounds how many
-    tasks are pulled ahead of the workers (default ``2 * workers``).
+    (:attr:`backend` reports which).  At most ``2 * workers`` tasks are
+    pulled ahead of the workers.
     """
 
     def __init__(
         self,
         workers: int = 1,
         timeout: float | None = None,
-        queue_depth: int | None = None,
         snapshot: SnapshotHandle | None = None,
     ):
-        self.workers = resolve_workers(workers)
+        if workers < 1:
+            raise ValueError("workers must be >= 1")
+        self.workers = workers
         #: Reported label, derived: ``serial`` at one worker, else ``process``.
-        self.backend = "serial" if self.workers == 1 else "process"
+        self.backend = "serial" if workers == 1 else "process"
         if timeout is not None and timeout <= 0:
             raise ValueError("timeout must be positive")
         self.timeout = timeout
-        if queue_depth is not None and queue_depth < 1:
-            raise ValueError("queue_depth must be >= 1")
-        self.queue_depth = queue_depth or 2 * self.workers
         self.snapshot = snapshot if snapshot is not None else InlineSnapshot()
 
     # -- public surface ----------------------------------------------------
@@ -544,7 +535,7 @@ class WorkerPool:
 
         def refill() -> None:
             nonlocal exhausted
-            while not exhausted and len(backlog) < self.queue_depth:
+            while not exhausted and len(backlog) < 2 * self.workers:
                 try:
                     backlog.append((next(task_iter), 0))
                 except StopIteration:

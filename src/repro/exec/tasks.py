@@ -8,11 +8,11 @@ the generic ``call`` kind accepts any module-level callable where that
 flexibility is worth the pickling constraint.
 
 Runners receive ``(graph, context, *payload)`` where graph/context come
-from the active :class:`~repro.exec.snapshot.SnapshotHandle`.  Runners
-that tolerate delete-invalidated parameters (``bi_throughput``, ``ic``)
-catch ``KeyError`` themselves and return a sentinel, mirroring how the
-serial driver treats those reads; any other exception escapes to the
-pool, which retries the task once and then records the failure.
+from the active :class:`~repro.exec.snapshot.SnapshotHandle`.  The
+``bi_throughput`` runner tolerates delete-invalidated parameters: it
+catches ``KeyError`` itself and returns a sentinel; any other exception
+escapes to the pool, which retries the task once and then records the
+failure.
 """
 
 from __future__ import annotations
@@ -127,18 +127,6 @@ def _run_bi_throughput(
         return -1
 
 
-def _run_ic(graph: Any, context: dict, number: int, params: tuple) -> list | None:
-    """One Interactive complex read; ``None`` marks parameters a delete
-    invalidated (the serial driver logs those as ``result_count = -1``)."""
-    from repro.queries.interactive.complex import ALL_COMPLEX
-
-    _tally_read_path(graph)
-    try:
-        return ALL_COMPLEX[number][0](graph, *params)
-    except KeyError:
-        return None
-
-
 def _run_stream(
     graph: Any, context: dict, stream_index: int, queries_per_stream: int
 ) -> int:
@@ -199,7 +187,6 @@ TASK_KINDS: dict[str, Callable[..., Any]] = {
     "bi": _run_bi,
     "bi_morsel": _run_bi_morsel,
     "bi_throughput": _run_bi_throughput,
-    "ic": _run_ic,
     "stream": _run_stream,
     "call": _run_call,
 }

@@ -11,9 +11,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.datagen.delete_streams import build_delete_streams
 from repro.datagen.update_streams import build_update_streams
-from repro.driver.recovery import (
-    CHECKPOINT, DurableSut, _apply, _encode, recover,
-)
+from repro.driver.recovery import CHECKPOINT, DurableSut, _encode, recover
+from repro.driver.transactions import apply_write
 from repro.graph import snapfile
 from repro.graph.snapfile import SnapshotFormatError, open_snapshot
 from repro.graph.store import SocialGraph
@@ -31,7 +30,7 @@ def reference_store(net, writes) -> SocialGraph:
     """The bulk load with ``writes`` applied directly, no durability."""
     graph = SocialGraph.from_data(net, until=net.cutoff)
     for op in writes:
-        _apply(graph, op)
+        apply_write(graph, op)
     return graph
 
 

@@ -7,6 +7,15 @@ import pytest
 from repro.cli import main
 
 
+@pytest.fixture
+def no_network(monkeypatch):
+    """Fail the test if the CLI gets as far as generating a network."""
+    def never(args):
+        raise AssertionError("the network was generated")
+
+    monkeypatch.setattr("repro.cli._bench", never)
+
+
 class TestGenerate:
     def test_generates_all_artefacts(self, tmp_path, capsys):
         code = main([
@@ -43,7 +52,7 @@ class TestGenerate:
 
 
 class TestRun:
-    """The unified ``run`` command (and its hidden legacy aliases)."""
+    """The ``run`` command, BI and Interactive."""
 
     def test_bi_power_is_the_default(self, capsys):
         code = main(["run", "--persons", "80", "--workers", "2"])
@@ -61,7 +70,7 @@ class TestRun:
     def test_interactive_workload(self, capsys):
         code = main([
             "run", "--workload", "interactive", "--persons", "80",
-            "--updates", "100", "--workers", "2",
+            "--updates", "100",
         ])
         assert code == 0
         assert "ops/s" in capsys.readouterr().out
@@ -69,7 +78,7 @@ class TestRun:
     def test_results_dir_records_envelope(self, tmp_path, capsys):
         code = main([
             "run", "--workload", "interactive", "--persons", "80",
-            "--updates", "60", "--workers", "2", "--timeout", "30",
+            "--updates", "60", "--deletes",
             "--results-dir", str(tmp_path / "results"),
         ])
         assert code == 0
@@ -78,8 +87,10 @@ class TestRun:
         )
         assert config["workload"] == "interactive"
         assert config["mode"] == "driver"
-        assert config["workers"] == 2
-        assert config["timeout"] == 30
+        assert config["workers"] == 1
+        assert config["timeout"] is None
+        assert config["max_updates"] == 60
+        assert config["include_deletes"] is True
         assert config["persons"] == 80
 
     @pytest.mark.parametrize("mode,workers", [("power", 1), ("concurrent", 4)])
@@ -105,33 +116,24 @@ class TestRun:
             "morsel_size": None,
         }
 
-    def test_power_then_throughput_on_two_workers(self, capsys):
+    def test_throughput_mode_on_two_workers(self, capsys):
         code = main([
-            "run", "--persons", "80", "--throughput", "--workers", "2",
+            "run", "--persons", "80", "--mode", "throughput",
+            "--workers", "2",
         ])
         assert code == 0
-        out = capsys.readouterr().out
-        assert "power@SF" in out and "microbatches" in out
+        assert "microbatches" in capsys.readouterr().out
 
-    def test_interactive_deletes_on_two_workers(self, tmp_path, capsys):
-        results = tmp_path / "results"
-        code = main([
-            "run", "--workload", "interactive", "--persons", "80",
-            "--updates", "200", "--deletes", "--workers", "2",
-            "--results-dir", str(results),
-        ])
-        assert code == 0
-        summary = json.loads((results / "results_summary.json").read_text())
-        assert summary["exec"]["workers"] == 2
-        assert summary["exec"]["failures"] == 0
-
-    def test_legacy_aliases_hidden_but_accepted(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["--help"])
-        help_text = capsys.readouterr().out
-        assert "run-bi" not in help_text
-        assert "run-interactive" not in help_text
-        assert main(["run-bi", "--persons", "80", "--query", "2"]) == 0
+    @pytest.mark.parametrize("command", [
+        ["run-bi", "--persons", "80", "--query", "2"],
+        ["run-interactive", "--persons", "80"],
+        ["run", "--persons", "80", "--throughput"],
+    ])
+    def test_legacy_spellings_are_usage_errors(self, no_network, command):
+        """One spelling per run: ``run --workload …`` and ``--mode``."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(command)
+        assert exit_info.value.code == 2
 
     @pytest.mark.parametrize("option, value", [
         ("--persons", "0"),
@@ -145,12 +147,26 @@ class TestRun:
         ("--tcr", "inf"),
     ])
     def test_bad_number_is_a_usage_error_before_generating(
-        self, monkeypatch, capsys, option, value
+        self, no_network, capsys, option, value
     ):
-        def never(args):
-            raise AssertionError("the network was generated")
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "run", "--workload", "interactive", "--persons", "40",
+                "--updates", "20", option, value,
+            ])
+        assert exit_info.value.code == 2
+        assert option in capsys.readouterr().err
 
-        monkeypatch.setattr("repro.cli._bench", never)
+    @pytest.mark.parametrize("option, value", [
+        ("--workers", "1"),
+        ("--workers", "2"),
+        ("--timeout", "30"),
+    ])
+    def test_pool_setting_is_an_interactive_usage_error(
+        self, no_network, capsys, option, value
+    ):
+        """The Interactive driver replays serially: a pool setting is
+        refused before generating rather than silently ignored."""
         with pytest.raises(SystemExit) as exit_info:
             main([
                 "run", "--workload", "interactive", "--persons", "40",
@@ -162,12 +178,14 @@ class TestRun:
 
 class TestRunBi:
     def test_single_query(self, capsys):
-        code = main(["run-bi", "--persons", "80", "--query", "1", "--limit", "2"])
+        code = main([
+            "run", "--persons", "80", "--query", "1", "--limit", "2",
+        ])
         assert code == 0
         assert "-- BI 1:" in capsys.readouterr().out
 
     def test_power_test(self, capsys):
-        code = main(["run-bi", "--persons", "80"])
+        code = main(["run", "--persons", "80"])
         assert code == 0
         out = capsys.readouterr().out
         assert "power@SF" in out and "BI 25" in out
@@ -175,20 +193,23 @@ class TestRunBi:
 
 class TestRunInteractive:
     def test_driver_run(self, capsys):
-        code = main(["run-interactive", "--persons", "80", "--updates", "100"])
+        code = main([
+            "run", "--workload", "interactive", "--persons", "80",
+            "--updates", "100",
+        ])
         assert code == 0
         assert "ops/s" in capsys.readouterr().out
 
     def test_fdr_output(self, capsys):
         code = main([
-            "run-interactive", "--persons", "80", "--updates", "50", "--fdr",
+            "run", "--workload", "interactive", "--persons", "80", "--updates", "50", "--fdr",
         ])
         assert code == 0
         assert "Full Disclosure Report" in capsys.readouterr().out
 
     def test_with_deletes(self, capsys):
         code = main([
-            "run-interactive", "--persons", "80", "--updates", "200",
+            "run", "--workload", "interactive", "--persons", "80", "--updates", "200",
             "--deletes",
         ])
         assert code == 0
@@ -269,7 +290,7 @@ class TestParameterFiles:
 class TestResultsDir:
     def test_results_directory_written(self, tmp_path, capsys):
         code = main([
-            "run-interactive", "--persons", "80", "--updates", "100",
+            "run", "--workload", "interactive", "--persons", "80", "--updates", "100",
             "--results-dir", str(tmp_path / "results"),
         ])
         assert code == 0

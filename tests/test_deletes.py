@@ -502,23 +502,6 @@ class TestDriverWithDeletes:
         assert deletes
         assert report.total_operations > 500
 
-    def test_facade_run_with_deletes_on_two_workers(self, small_net):
-        """Parallel read runs between deletes log exactly what the
-        serial replay logs, invalidated reads included."""
-        from repro.core.api import SocialNetworkBenchmark
-
-        def log_content(workers):
-            report = SocialNetworkBenchmark(small_net).run_driver(
-                max_updates=300, include_deletes=True, workers=workers
-            )
-            return report, [(e.operation, e.result_count) for e in report.log]
-
-        (_, serial), (parallel, logged) = log_content(1), log_content(2)
-        assert logged == serial
-        assert any(operation.startswith("DEL") for operation, _ in logged)
-        assert parallel.exec_stats["workers"] == 2
-        assert parallel.exec_stats["failures"] == 0
-
 
 class TestNoAliasingAcrossGraphs:
     def test_moderator_detach_does_not_leak(self, small_net):

@@ -143,23 +143,6 @@ class TestRunner:
         ]
         assert ops1 == ops2
 
-    def test_parallel_reads_log_like_serial(self, driver_setup, fresh_graph):
-        """``workers=2`` (after warm-up reads) logs the same operations
-        and row counts, in the same order, as the serial replay."""
-        graph, updates, frequencies, parameters = driver_setup
-        schedule = Scheduler(updates[:200], frequencies, parameters).build()
-
-        def log_content(workers):
-            report = Driver(fresh_graph(), seed=7).run(
-                schedule, warmup_reads=5, workers=workers
-            )
-            return report, [(e.operation, e.result_count) for e in report.log]
-
-        (_, serial), (parallel, logged) = log_content(1), log_content(2)
-        assert logged == serial
-        assert parallel.exec_stats["workers"] == 2
-        assert parallel.exec_stats["failures"] == 0
-
     def test_tcr_paces_execution(self, driver_setup, fresh_graph):
         graph, updates, frequencies, parameters = driver_setup
         subset = updates[:20]

@@ -24,7 +24,6 @@ from repro.exec import (
     WorkerPool,
     activate,
     active,
-    resolve_workers,
     run_task,
 )
 from repro.exec.tasks import TASK_KINDS
@@ -101,20 +100,15 @@ class TestResolveWorkers:
         assert pool.workers == 1
         assert pool.backend == "serial"
 
-    def test_explicit_count_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXEC_WORKERS", "3")
-        assert resolve_workers(2) == 2
-        assert WorkerPool(workers=2).workers == 2
-
     def test_invalid_counts_rejected(self):
         with pytest.raises(ValueError):
-            resolve_workers(0)
+            WorkerPool(workers=0)
         with pytest.raises(TypeError):  # derived from workers, not an option
             WorkerPool(workers=2, backend="thread")
+        with pytest.raises(TypeError):  # derived from workers, not an option
+            WorkerPool(workers=2, queue_depth=1)
         with pytest.raises(ValueError):
             WorkerPool(workers=2, timeout=0)
-        with pytest.raises(ValueError):
-            WorkerPool(workers=2, queue_depth=0)
 
 
 # -- snapshot activation ----------------------------------------------------
@@ -166,7 +160,9 @@ class TestBackends:
         assert WorkerPool(workers=4).backend == "process"
 
     def test_generator_input_with_small_queue_depth(self):
-        pool = WorkerPool(workers=2, queue_depth=1)
+        """Twelve lazily generated tasks through the four-deep
+        (``2 * workers``) dispatch queue."""
+        pool = WorkerPool(workers=2)
         result = pool.run(
             Task(i, "call", (_double, (i,))) for i in range(12)
         )
@@ -202,11 +198,11 @@ class TestBackends:
             for i in range(20):
                 pulled.append(i)
                 # pulled-but-unfinished tasks never exceed the bound:
-                # queue_depth waiting + workers executing.
-                assert len(pulled) - len(os.listdir(tmp_path)) <= 2 + 2
+                # 2 * workers waiting + workers executing.
+                assert len(pulled) - len(os.listdir(tmp_path)) <= 4 + 2
                 yield Task(i, "call", (_touch, (str(tmp_path / str(i)),)))
 
-        result = WorkerPool(workers=2, queue_depth=2).run(generate())
+        result = WorkerPool(workers=2).run(generate())
         assert result.values() == list(range(20))
         assert result.failures == 0
 

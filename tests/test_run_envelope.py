@@ -6,10 +6,10 @@ Two layers:
   :data:`~repro.core.run.REPORT_SURFACE`
   (``summary_dict``/``format_table``/``write_results_dir``) and
   :class:`~repro.core.run.RunRequest` validates its envelope;
-* differential tests — every run surface produces identical merged
+* differential tests — every BI run surface produces identical merged
   results with ``workers=1`` and ``workers=4`` (the executor's
   deterministic-merge guarantee), compared on deterministic artifacts
-  (rows, logs, operator counters), never on wall-clock-derived scores.
+  (rows, operator counters), never on wall-clock-derived scores.
 """
 
 from __future__ import annotations
@@ -123,6 +123,19 @@ class TestRunRequest:
             },
         }
 
+    @pytest.mark.parametrize("settings", [
+        {"workers": 2},
+        {"workers": 4},
+        {"timeout": 30.0},
+        {"workers": 1, "timeout": 5.0},
+    ])
+    def test_interactive_refuses_pool_settings(self, settings):
+        """The Interactive driver replays serially: a worker count or a
+        deadline it would ignore is refused, not dropped."""
+        with pytest.raises(ValueError, match="serially"):
+            RunRequest(workload="interactive", **settings)
+        assert RunRequest(workload="interactive", workers=1).workers == 1
+
     def test_workers_default_is_the_modes_own(self):
         """No ``workers`` argument still discloses a count: one worker
         per stream for ``concurrent``, serial everywhere else."""
@@ -152,7 +165,7 @@ class TestDispatch:
                 summary = report.summary_dict()
                 assert summary["workload"] == workload
                 assert summary["mode"] == mode
-                assert "exec" in summary
+                assert ("exec" in summary) == (workload == "bi")
 
     @pytest.mark.parametrize(
         "workload,mode,options",
@@ -160,7 +173,6 @@ class TestDispatch:
             ("bi", "power", {}),
             ("bi", "throughput", {"reads_per_batch": 2}),
             ("bi", "concurrent", {"streams": 2, "queries_per_stream": 2}),
-            ("interactive", "driver", {"max_updates": 120}),
         ],
     )
     def test_every_mode_runs_on_two_workers(
@@ -178,7 +190,7 @@ class TestDispatch:
 
 
 class TestSerialParallelDifferential:
-    """Same seed, workers=1 vs workers=4: identical merged results."""
+    """Same seed, workers=1 vs workers=4: identical merged BI results."""
 
     def test_power_test(self, bench):
         serial = bench.run(RunRequest(workload="bi", mode="power", workers=1))
@@ -248,37 +260,6 @@ class TestSerialParallelDifferential:
         # Process workers ship registry deltas: every block, forked after
         # its writes, read the post-write view through the same path.
         assert serial_paths and serial_paths == parallel_paths
-
-    def test_interactive_driver(self, tiny_net):
-        def log_content(workers):
-            report = SocialNetworkBenchmark(tiny_net).run_driver(
-                max_updates=120, workers=workers
-            )
-            return [(e.operation, e.result_count) for e in report.log]
-
-        serial, parallel = log_content(1), log_content(4)
-        assert serial == parallel
-
-    def test_driver_scores_match(self, tiny_net):
-        serial = SocialNetworkBenchmark(tiny_net).run_driver(
-            max_updates=120, workers=1
-        )
-        parallel = SocialNetworkBenchmark(tiny_net).run_driver(
-            max_updates=120, workers=4
-        )
-        assert serial.total_operations == parallel.total_operations
-        assert serial.invalidated_reads == parallel.invalidated_reads
-        assert parallel.exec_stats["failures"] == 0
-        assert parallel.exec_stats["tasks"] > 0
-
-    def test_driver_reports_requested_workers(self, tiny_net):
-        """Each read run gets a pool sized to it, but ``exec`` reports
-        the worker count the run was given."""
-        report = SocialNetworkBenchmark(tiny_net).run_driver(
-            max_updates=120, workers=4
-        )
-        assert report.exec_stats["workers"] == 4
-        assert report.exec_stats["backend"] == "process"
 
 
 class TestRunAll:

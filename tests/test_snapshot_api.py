@@ -15,8 +15,8 @@ Covers the four satellite contracts of the redesign:
   (dirty-manager) snapshot whose deltas must ride along with the
   mapped base — the full 25 BI + 14 IC differential runs the
   entity-section rebuild against the parent's object-state view,
-  plus a ``spawn``-method pool leg that cold-starts from the file
-  alone.
+  plus a ``spawn``-method pool leg whose BI reads cold-start from the
+  file alone.
 """
 
 from __future__ import annotations
@@ -272,7 +272,9 @@ class TestFullDifferential:
                                                tiny_config, monkeypatch):
         """Cold-started spawn workers (no fork inheritance, no
         object-state pickle) return the same rows as the parent's
-        serial pass for every BI and IC read."""
+        serial pass for every BI read; every IC read (the serial
+        Interactive driver has no pool) runs in-process on the same
+        rebuilt-from-snapfile layout a worker materializes."""
         from repro.params.curation import ParameterGenerator
         from repro.queries.bi import ALL_QUERIES
         from repro.queries.interactive.complex import ALL_COMPLEX
@@ -286,10 +288,6 @@ class TestFullDifferential:
             binding = tuple(params.bi(number, count=1)[0])
             tasks.append(Task(len(tasks), "bi", (number, binding)))
             expected.append(query(frozen, *binding))
-        for number, (query, _info) in sorted(ALL_COMPLEX.items()):
-            binding = tuple(params.interactive(number, count=1)[0])
-            tasks.append(Task(len(tasks), "ic", (number, binding)))
-            expected.append(query(frozen, *binding))
         handle = provide_snapshot(
             frozen, config=SnapshotConfig(provider="mmap_file")
         )
@@ -297,6 +295,16 @@ class TestFullDifferential:
             merged = WorkerPool(workers=2, snapshot=handle).run(tasks)
             assert not merged.failures
             assert merged.values() == expected
+            attached = handle.ship().materialize()
+            try:
+                for number, (query, _info) in sorted(ALL_COMPLEX.items()):
+                    binding = tuple(params.interactive(number, count=1)[0])
+                    assert (
+                        query(attached.graph, *binding)
+                        == query(frozen, *binding)
+                    ), f"ic{number}"
+            finally:
+                attached.close()
         finally:
             handle.close()
 

@@ -2,8 +2,14 @@
 
 import pytest
 
+from repro.datagen.delete_streams import DeleteOperation
 from repro.datagen.update_streams import UpdateOperation, build_update_streams
-from repro.driver.transactions import AtomicExecutor, verify_serializable_history
+from repro.driver.transactions import (
+    AtomicExecutor,
+    apply_write,
+    verify_serializable_history,
+)
+from repro.queries.interactive.deletes import ALL_DELETES, DeletePersonParams
 from repro.graph.store import SocialGraph
 from repro.queries.interactive.updates import AddLikeParams, AddPersonParams
 
@@ -77,6 +83,30 @@ class TestAtomicEdgeInserts:
         assert not executor.apply(op)
         assert b.graph.likes_edges == []
         assert executor.history == []
+
+
+class TestApplyWrite:
+    def test_skipped_write_reports_false(self):
+        b = GraphBuilder()
+        person = b.person()
+        op = UpdateOperation(1, 0, 2, AddLikeParams(person, 999, ts(5, 1)))
+        assert not apply_write(b.graph, op)
+        assert b.graph.likes_edges == []
+        delete = DeleteOperation(1, 1, DeletePersonParams(person))
+        assert apply_write(b.graph, delete)
+        assert person not in b.graph.persons
+
+    def test_registry_entry_is_read_per_call(self, monkeypatch):
+        """Callers that swap a registry entry (to time it, say) must see
+        the replacement run: no entry is bound at import."""
+        calls = []
+        monkeypatch.setitem(
+            ALL_DELETES, 1, (lambda graph, params: calls.append(params),
+                             ALL_DELETES[1][1]),
+        )
+        params = DeletePersonParams(12)
+        assert apply_write(GraphBuilder().graph, DeleteOperation(1, 1, params))
+        assert calls == [params]
 
 
 class TestSerializability:
